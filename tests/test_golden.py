@@ -1,0 +1,90 @@
+"""Golden SHA-256 hashes of CLI outputs on a small fixed corpus.
+
+Criterion 10 checks that reruns agree byte for byte; these hashes also
+pin the bytes across code changes, so a refactor that alters any stream,
+barcode or report fails here. Regenerate a hash only for an intended
+change of output, and say why in the commit that does it.
+"""
+
+import hashlib
+
+import pytest
+
+from ripsapprox.cli import main
+
+from conftest import random_cloud
+
+# point file name -> random_cloud(seed, n, d)
+CLOUDS = {
+    "d1": (11, 10, 1),
+    "d2": (12, 12, 2),
+    "d3": (13, 8, 3),
+}
+
+# output name -> CLI arguments, run in this order with `--out <name>`;
+# "{x}" is the point file or earlier output called x
+RUNS = [
+    ("tower_d1_k0", ["tower", "{d1}", "--k", "0", "--seed", "3"]),
+    ("tower_d2_k1", ["tower", "{d2}", "--k", "1", "--seed", "3"]),
+    ("tower_d3_k2", ["tower", "{d3}", "--k", "2", "--seed", "3"]),
+    ("tower_d3_cubical", ["tower", "{d3}", "--mode", "cubical", "--seed", "3"]),
+    ("tower_barcode_d1", ["tower-barcode", "{tower_d1_k0}"]),
+    ("tower_barcode_d2", ["tower-barcode", "{tower_d2_k1}"]),
+    ("tower_barcode_d3_k1", ["tower-barcode", "{tower_d3_k2}", "--k", "1"]),
+    ("tower_barcode_d3_k2", ["tower-barcode", "{tower_d3_k2}"]),
+    ("rips_barcode_d2", ["rips-barcode", "{d2}", "--k", "1"]),
+    ("compare_linf_d2", ["compare", "{d2}", "--k", "1", "--seed", "3"]),
+    ("compare_l2_d3", ["compare", "{d3}", "--metric", "l2", "--k", "1", "--seed", "3"]),
+    ("stats_d3_k2", ["stats", "{tower_d3_k2}"]),
+    ("stats_d3_k2_points", ["stats", "{tower_d3_k2}", "--points", "{d3}"]),
+    ("stats_d3_cubical", ["stats", "{tower_d3_cubical}"]),
+    ("stats_d3_cubical_points", ["stats", "{tower_d3_cubical}", "--points", "{d3}"]),
+    ("survival_d5_k2", ["survival", "--d", "5", "--k", "2", "--trials", "300", "--seed", "4"]),
+]
+
+# output name -> (exit code, SHA-256 of the output file)
+GOLDEN = {
+    "tower_d1_k0": (0, "ed1142daa948e7e8adc8b7d8a4a6a3e21605fe35dbb7eea6d5781ad854ded88e"),
+    "tower_d2_k1": (0, "496a7fa0a9dabbfed90ae4af5a03d5948fe5af882e885a9a4dfa6c6328620a60"),
+    "tower_d3_k2": (0, "aa72f90dc500f3440c7b4ce47e584877c9bef5ca1a80dbd93e1b4728899a53fb"),
+    "tower_d3_cubical": (0, "6bc479c998e45f84e077553426207b2ba9f24a9fed08047e619ddedb9515b793"),
+    "tower_barcode_d1": (0, "1cb60fd3b616548094b0b5e7fe105bd33f9a71c2dfbaebd4f7aa898e47aba30a"),
+    "tower_barcode_d2": (0, "4de1b940ca5054aa598fcc47a2aa3ead9296625f529268c02cb2432618eb0b80"),
+    "tower_barcode_d3_k1": (0, "75dae8c06db6c6fcfa2e3238063cbda1c4db5041b3291acdaf4a72c263940a05"),
+    "tower_barcode_d3_k2": (0, "29ae3fcfe95c68b2ec0b2e1270d05ee190f1da7842321da24c9cb7efa250de5c"),
+    "rips_barcode_d2": (0, "708252e1fc92a8efe69dca44b4a8a1cc4a707186df4a15449b6d9dced96ab019"),
+    "compare_linf_d2": (0, "1ec0240414529bcee532491adae92e95fbf0e7094cc77438ae2631b3d3d66a1b"),
+    "compare_l2_d3": (0, "88b3f2ef2f1fb633f5ff1172f2a151ff97ce7847ad1f9ec1ecf006bcd485f973"),
+    "stats_d3_k2": (0, "507bd9c1c07337538028e04724c318b99ecd7eea1476c8ea4723a2dbf950dcc3"),
+    "stats_d3_k2_points": (0, "edeb6e0d0ac2cd4ed80c0934462bc301d924ceb3f06347c91b22de9128466b5c"),
+    "stats_d3_cubical": (0, "d6c3ed6de9c63c01862284caa3f9feb0c1e67432bcc5e3c3cb8972bad5fd6b9a"),
+    "stats_d3_cubical_points": (0, "5cc45fba0cc9893a245820633e5d8e1dc6c02e7f0c60146067ded7a6df9313f1"),
+    "survival_d5_k2": (0, "46714421bea220007744ea3658b206ec819a863c993e5596cc355707efe2e0c1"),
+}
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    work = tmp_path_factory.mktemp("golden")
+    paths = {}
+    for name, (seed, n, d) in CLOUDS.items():
+        f = work / (name + ".txt")
+        rows = random_cloud(seed, n, d).points
+        f.write_text("\n".join(" ".join("%.17g" % x for x in row) for row in rows) + "\n")
+        paths[name] = str(f)
+    out = {}
+    for name, args in RUNS:
+        paths[name] = str(work / (name + ".out"))
+        code = main([a.format(**paths) for a in args] + ["--out", paths[name]])
+        with open(paths[name], "rb") as fh:
+            out[name] = (code, hashlib.sha256(fh.read()).hexdigest())
+    return out
+
+
+def test_golden_covers_every_run():
+    assert sorted(GOLDEN) == sorted(name for name, _ in RUNS)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in RUNS])
+def test_golden_output(outputs, name):
+    assert outputs[name] == GOLDEN[name]
