@@ -8,7 +8,7 @@ filtration, and certifies the multiplicative approximation quality.
 
 from .geometry import PointCloud, linf_distance, l2_distance, closest_pair, diameter, spread
 from .lattice import Face, GridFrame, GridVertex, ShiftSequence, build_frames, locate, vertex_map_g, face_map_g
-from .cubical import ActiveVertexMap, CubicalComplex, active_vertices, is_spanned, spanned_faces, closure, cubical_boundary, cubical_map
+from .cubical import ActiveVertexMap, CubicalComplex, active_vertices, is_spanned, spanned_faces, closure, cubical_boundary
 from .barycentric import FlagSimplex, SimplicialComplex, build_order_complex, simplicial_image
 from .tower import (
     Scale, Include, Contract, EventStream, ScaleLadder, Snapshot,
@@ -17,6 +17,6 @@ from .tower import (
     active_inclusion_bound, cubical_cell_bound, simplicial_inclusion_bound,
 )
 from .persistence import Barcode, Filtration, rips_filtration, reduce, betti, tower_barcode, coning_oracle
-from .diagram import scale_barcode, multiplicative_bottleneck, certify_approximation, Certificate
+from .diagram import multiplicative_bottleneck, certify_approximation, Certificate
 
 __version__ = "0.1.0"

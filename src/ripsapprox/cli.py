@@ -25,6 +25,7 @@ from .tower import (
     EventStream,
     GuardrailExceeded,
     MalformedStream,
+    _find,
     active_inclusion_bound,
     build_cubical_tower,
     build_simplicial_tower,
@@ -56,6 +57,7 @@ def _resolve_seed(args) -> int:
         try:
             return int(env)
         except ValueError:
+            sys.stderr.write("ripsapprox: error: RIPSAPPROX_SEED must be an integer, got %r\n" % env)
             raise SystemExit(EXIT_USAGE)
     return 0
 
@@ -138,7 +140,6 @@ def cmd_rips_barcode(args) -> int:
 
 def cmd_tower_barcode(args) -> int:
     stream = _load_stream(args.stream)
-    replay(stream)  # full well-formedness pass before any homology
     k = stream.k if args.k is None else min(args.k, stream.k)
     bc = tower_barcode(stream, k)
     info = _emit(bc.to_text(), args.out)
@@ -203,21 +204,15 @@ def _stats_checks(stream: EventStream, points_path: Optional[str]):
         # connectivity only: cells arrive as corner-id sets, enough for
         # one-component evidence of final-scale collapse
         parent = {}
-
-        def find(x):
-            while parent.get(x, x) != x:
-                x = parent[x]
-            return x
-
         verts = set()
         for cell in snap.cells:
             ids = sorted(cell)
             verts.update(ids)
             for v in ids[1:]:
-                a, b = find(ids[0]), find(v)
+                a, b = _find(parent, ids[0]), _find(parent, v)
                 if a != b:
                     parent[b] = a
-        comps = len({find(v) for v in verts}) if verts else 0
+        comps = len({_find(parent, v) for v in verts}) if verts else 0
         checks.append(("final scale connected", comps, 1, comps == 1))
 
     audit = None

@@ -10,7 +10,7 @@ at that scale.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from .geometry import PointCloud
 from .lattice import (
@@ -18,7 +18,6 @@ from .lattice import (
     Face,
     GridFrame,
     GridVertex,
-    face_map_g,
     face_vertices,
     facets,
     locate,
@@ -34,7 +33,6 @@ __all__ = [
     "spanned_faces_bruteforce",
     "closure",
     "cubical_boundary",
-    "cubical_map",
     "incident_faces",
 ]
 
@@ -254,7 +252,3 @@ def cubical_boundary(U: CubicalComplex, p: int):
             raise AssertionError("complex not closed at %r" % (f,))
     return cols, p_faces, pm1_faces
 
-
-def cubical_map(frames: Sequence[GridFrame], s: int, f: Face) -> Face:
-    """The face image at the next scale (coordinate-wise vertex map)."""
-    return face_map_g(frames, s, f)

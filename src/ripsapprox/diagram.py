@@ -18,7 +18,6 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from .persistence import Barcode
 
 __all__ = [
-    "scale_barcode",
     "ratio_cost",
     "deletion_cost",
     "multiplicative_bottleneck",
@@ -29,10 +28,6 @@ __all__ = [
 INF = math.inf
 
 Interval = Tuple[float, float]
-
-
-def scale_barcode(bc: Barcode, factor: float) -> Barcode:
-    return bc.scaled(factor)
 
 
 def _ratio(x: float, y: float) -> float:

@@ -197,20 +197,34 @@ def vertex_map_g(frames: Sequence[GridFrame], s: int, v: GridVertex) -> GridVert
     """
     if v.s != s:
         raise ValueError("vertex is at scale %d, expected %d" % (v.s, s))
+    return GridVertex(s + 1, _face_image(v.z, 0, _step_signs(frames, s))[0])
+
+
+def _step_signs(frames: Sequence[GridFrame], s: int) -> List[int]:
+    """The shift signs eps_s between frames s and s+1."""
     if s + 1 >= len(frames):
         raise ValueError("no frame at scale %d" % (s + 1,))
     fr, to = frames[s], frames[s + 1]
-    y = []
-    for i, zi in enumerate(v.z):
-        eps = (to.offset[i] - fr.offset[i]) >> s  # +-1 by construction
-        D = 2 * zi - eps
-        y.append((D - 1) // 4 if D % 4 == 1 else (D + 1) // 4)
-    return GridVertex(s + 1, tuple(y))
+    return [(t - o) >> s for o, t in zip(fr.offset, to.offset)]  # +-1 by construction
 
 
-def _coord_image(zi: int, eps: int) -> int:
-    D = 2 * zi - eps
-    return (D - 1) // 4 if D % 4 == 1 else (D + 1) // 4
+def _face_image(anchor: Sequence[int], mask: int, eps: Sequence[int]) -> Tuple[Tuple[int, ...], int]:
+    """Anchor and mask of a face's image under one step with shift signs eps.
+
+    Per coordinate D = 2*a - eps is odd, so the image index (D -+ 1)/4
+    is the nearest integer to D/4, that is (D + 1) // 4. An extent
+    direction survives when its two endpoint images differ.
+    """
+    image = tuple([(2 * a - e + 1) >> 2 for a, e in zip(anchor, eps)])
+    new_mask = 0
+    rest = mask
+    while rest:
+        bit = rest & -rest
+        i = bit.bit_length() - 1
+        if (2 * anchor[i] - eps[i] + 3) >> 2 != image[i]:
+            new_mask |= bit
+        rest ^= bit
+    return image, new_mask
 
 
 def face_map_g(frames: Sequence[GridFrame], s: int, f: Face) -> Face:
@@ -222,20 +236,7 @@ def face_map_g(frames: Sequence[GridFrame], s: int, f: Face) -> Face:
     """
     if f.s != s:
         raise ValueError("face is at scale %d, expected %d" % (f.s, s))
-    if s + 1 >= len(frames):
-        raise ValueError("no frame at scale %d" % (s + 1,))
-    fr, to = frames[s], frames[s + 1]
-    anchor = []
-    mask = 0
-    for i, ai in enumerate(f.anchor):
-        eps = (to.offset[i] - fr.offset[i]) >> s
-        lo = _coord_image(ai, eps)
-        if f.mask >> i & 1:
-            hi = _coord_image(ai + 1, eps)
-            if hi != lo:
-                mask |= 1 << i
-        anchor.append(lo)
-    return Face(s + 1, tuple(anchor), mask)
+    return Face(s + 1, *_face_image(f.anchor, f.mask, _step_signs(frames, s)))
 
 
 def face_vertices(f: Face) -> List[Tuple[int, ...]]:

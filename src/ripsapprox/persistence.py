@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .barycentric import SimplicialComplex
-from .cubical import CubicalComplex, cubical_boundary
-from .geometry import PointCloud, METRICS
+from .cubical import CubicalComplex
+from .geometry import PointCloud
 from .lattice import facets
-from .tower import Contract, EventStream, GuardrailExceeded, Include, MalformedStream, Scale, Snapshot
+from .tower import (EventStream, GuardrailExceeded, Include, MalformedStream, Scale, Snapshot,
+                    _find, _fmt_g17, _walk_scales)
 
 __all__ = [
     "Filtration",
@@ -33,10 +34,6 @@ __all__ = [
 ]
 
 INF = math.inf
-
-
-def _fmt_g17(x: float) -> str:
-    return "inf" if x == INF else "%.17g" % (x,)
 
 
 class Barcode:
@@ -157,6 +154,24 @@ def rips_filtration(P: PointCloud, metric="linf", k: int = 1,
 # column reduction
 
 
+def _eliminate(vec: int, pivots: Dict[int, int]) -> int:
+    """GF(2) low-pivot elimination of one vector against a basis.
+
+    `pivots` maps a highest set bit to the basis vector that owns it.
+    Owned highest bits are cleared by XOR until the residual's highest
+    bit is free; a nonzero residual then joins the basis under that bit.
+    Returns the residual, 0 when vec lies in the span.
+    """
+    while vec:
+        top = vec.bit_length() - 1
+        owner = pivots.get(top)
+        if owner is None:
+            pivots[top] = vec
+            return vec
+        vec ^= owner
+    return 0
+
+
 def _reduce_cells(cells: Sequence[Tuple[float, int, List[int]]], homology_cap: Optional[int] = None):
     """Reduce an ordered cell complex; return index pairs (p, bj, dj).
 
@@ -165,26 +180,18 @@ def _reduce_cells(cells: Sequence[Tuple[float, int, List[int]]], homology_cap: O
     essential classes. Index pairs keep prefix counting exact under
     value ties; callers map indices to values.
     """
-    cols: List[int] = []
+    pivots: Dict[int, int] = {}
     alive: Dict[int, int] = {}
-    pair_of_row: Dict[int, int] = {}
     intervals = []
     for j, (val, dim, faces) in enumerate(cells):
         col = 1 if dim == 0 else 0  # bit 0 is the dummy row
         for fi in faces:
             col |= 1 << (fi + 1)
-        while col:
-            low = col.bit_length() - 1
-            owner = pair_of_row.get(low)
-            if owner is None:
-                break
-            col ^= cols[owner]
-        cols.append(col)
+        col = _eliminate(col, pivots)
         if col == 0:
             alive[j] = dim
         else:
             low = col.bit_length() - 1
-            pair_of_row[low] = j
             if low > 0:
                 bj = low - 1
                 if bj in alive:
@@ -285,75 +292,24 @@ def betti(obj) -> List[int]:
 # tower persistence via the rank formula
 
 
-def _stream_scale_states(stream: EventStream):
-    """Per present scale: (alpha, parent snapshot, number of raw cells)."""
-    if stream.mode != "simplicial":
-        raise MalformedStream("tower persistence needs a simplicial stream")
-    parent: Dict[int, int] = {}
-    raw: List[Tuple[int, ...]] = []
-    states = []
-    alpha = None
-
-    def flush():
-        if alpha is not None:
-            states.append((alpha, dict(parent), len(raw)))
-
-    for e in stream.events:
-        if isinstance(e, Scale):
-            flush()
-            alpha = e.alpha
-        elif isinstance(e, Contract):
-            parent[e.j] = e.i
-        else:
-            raw.append((e.id,) if e.dim == 0 else e.vertices)
-    flush()
-    return raw, states
-
-
-def _resolve(parent: Dict[int, int], v: int) -> int:
-    while v in parent:
-        v = parent[v]
-    return v
-
-
-def _rank_of(vectors: List[int]) -> int:
-    pivots: Dict[int, int] = {}
-    r = 0
-    for vec in vectors:
-        while vec:
-            low = vec.bit_length() - 1
-            if low in pivots:
-                vec ^= pivots[low]
-            else:
-                pivots[low] = vec
-                r += 1
-                break
-    return r
-
-
-def _pivot_basis(vectors: Iterable[int]) -> Dict[int, int]:
-    pivots: Dict[int, int] = {}
-    for vec in vectors:
-        while vec:
-            low = vec.bit_length() - 1
-            if low in pivots:
-                vec ^= pivots[low]
-            else:
-                pivots[low] = vec
-                break
-    return pivots
-
-
 def _snapshot_complex(raw, parent, nraw):
     cells: Set[frozenset] = set()
     for verts in raw[:nraw]:
-        cells.add(frozenset(_resolve(parent, v) for v in verts))
+        cells.add(frozenset(_find(parent, v) for v in verts))
     by_dim: Dict[int, List[Tuple[int, ...]]] = {}
     for c in cells:
         by_dim.setdefault(len(c) - 1, []).append(tuple(sorted(c)))
     for p in by_dim:
         by_dim[p].sort()
     return by_dim
+
+
+def _boundary_vector(c: Tuple[int, ...], index: Dict[Tuple[int, ...], int]) -> int:
+    """Bitmask of the facets of a sorted simplex, over a face index."""
+    vec = 0
+    for i in range(len(c)):
+        vec ^= 1 << index[c[:i] + c[i + 1:]]
+    return vec
 
 
 def _homology_basis(by_dim, p: int):
@@ -363,73 +319,39 @@ def _homology_basis(by_dim, p: int):
     augmentation row makes the kernel the even vertex sets.
     """
     p_cells = by_dim.get(p, [])
-    idx_p = {c: i for i, c in enumerate(p_cells)}
     if not p_cells:
         return [], {}
-    # boundary image from above
-    bvecs = []
+    idx_p = {c: i for i, c in enumerate(p_cells)}
+    bpivots: Dict[int, int] = {}
     for c in by_dim.get(p + 1, []):
-        vec = 0
-        for i in range(len(c)):
-            face = tuple(sorted(c[:i] + c[i + 1:]))
-            vec ^= 1 << idx_p[face]
-        bvecs.append(vec)
-    bpivots = _pivot_basis(bvecs)
-    # kernel of the boundary going down (augmented at p = 0)
-    if p == 0:
-        pm1_idx = {}
-    else:
-        pm1_idx = {c: i for i, c in enumerate(by_dim.get(p - 1, []))}
+        _eliminate(_boundary_vector(c, idx_p), bpivots)
+    # kernel of the boundary going down (augmented at p = 0): a p-cell's
+    # boundary sits above bit W and the combination of p-cells that
+    # produced it in the low W bits, so a residual below 2^W is a cycle
+    W = len(p_cells)
+    pm1_idx = {c: i for i, c in enumerate(by_dim.get(p - 1, []))}
     dpivots: Dict[int, int] = {}
-    dcombo: Dict[int, int] = {}
     kernel = []
     for j, c in enumerate(p_cells):
-        if p == 0:
-            vec = 1
-        else:
-            vec = 0
-            for i in range(len(c)):
-                face = tuple(sorted(c[:i] + c[i + 1:]))
-                vec ^= 1 << pm1_idx[face]
-        combo = 1 << j
-        while vec:
-            low = vec.bit_length() - 1
-            if low in dpivots:
-                vec ^= dpivots[low]
-                combo ^= dcombo[low]
-            else:
-                dpivots[low] = vec
-                dcombo[low] = combo
-                break
-        if vec == 0:
-            kernel.append(combo)
-    basis = []
+        vec = 1 if p == 0 else _boundary_vector(c, pm1_idx)
+        z = _eliminate((vec << W) | (1 << j), dpivots)
+        if z >> W == 0:
+            kernel.append(z)
     combined = dict(bpivots)
-    for z in kernel:
-        v = z
-        while v:
-            low = v.bit_length() - 1
-            if low in combined:
-                v ^= combined[low]
-            else:
-                combined[low] = v
-                basis.append(v)
-                break
+    basis = [v for v in (_eliminate(z, combined) for z in kernel) if v]
     return basis, bpivots
 
 
 def _push_vector(vec: int, src_cells, dst_index, parent_next) -> int:
     """Apply the scale-step chain map to a cycle vector."""
     out = 0
-    i = 0
     while vec:
-        if vec & 1:
-            cell = src_cells[i]
-            img = frozenset(_resolve(parent_next, v) for v in cell)
-            if len(img) == len(cell):
-                out ^= 1 << dst_index[tuple(sorted(img))]
-        vec >>= 1
-        i += 1
+        bit = vec & -vec
+        cell = src_cells[bit.bit_length() - 1]
+        img = frozenset(_find(parent_next, v) for v in cell)
+        if len(img) == len(cell):
+            out ^= 1 << dst_index[tuple(sorted(img))]
+        vec ^= bit
     return out
 
 
@@ -439,17 +361,25 @@ def tower_barcode(stream: EventStream, k: Optional[int] = None) -> Barcode:
     Snapshots are taken at every scale event; intervals use the
     piecewise-constant convention [alpha_i, alpha_{j+1}), with classes
     alive at the first snapshot born at 0 (the complex is unchanged
-    below the first scale).
+    below the first scale). The stream is validated as `replay` does it:
+    a cubical or malformed stream raises MalformedStream.
     """
+    if stream.mode != "simplicial":
+        raise MalformedStream("tower persistence needs a simplicial stream")
     if k is None:
         k = stream.k
     k = min(k, stream.k)
-    raw, states = _stream_scale_states(stream)
-    T = len(states)
+    alphas: List[float] = []
+    parents: List[Dict[int, int]] = []
+    sizes: List[int] = []
+    for alpha, parent, raw, _ in _walk_scales(stream):
+        alphas.append(alpha)
+        parents.append(dict(parent))
+        sizes.append(len(raw))
+    T = len(alphas)
     if T == 0:
         return Barcode()
-    alphas = [st[0] for st in states]
-    complexes = [_snapshot_complex(raw, st[1], st[2]) for st in states]
+    complexes = [_snapshot_complex(raw, parents[t], sizes[t]) for t in range(T)]
 
     out = Barcode()
     for p in range(k + 1):
@@ -468,10 +398,11 @@ def tower_barcode(stream: EventStream, k: Optional[int] = None) -> Barcode:
             for j in range(i + 1, T):
                 src = complexes[j - 1].get(p, [])
                 src_cells = [frozenset(c) for c in src]
-                vecs = [_push_vector(v, src_cells, cellidx[j], states[j][1]) for v in vecs]
-                # rank of the image in H_p(X_j): joint rank with the
-                # boundary space, minus the boundary rank
-                r[i][j] = _rank_of(list(bpiv[j].values()) + vecs) - len(bpiv[j])
+                vecs = [_push_vector(v, src_cells, cellidx[j], parents[j]) for v in vecs]
+                # rank of the image in H_p(X_j): the pushed cycles that
+                # stay independent modulo the boundary space
+                pivots = dict(bpiv[j])
+                r[i][j] = sum(1 for v in vecs if _eliminate(v, pivots))
         for i in range(T):
             for j in range(i, T):
                 a = r[i][j] - (r[i][j + 1] if j + 1 < T else 0)

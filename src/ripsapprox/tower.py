@@ -21,7 +21,7 @@ import io
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from .cubical import ActiveVertexMap, CubicalComplex, active_vertices, closure, spanned_faces
 from .geometry import PointCloud, closest_pair, diameter
@@ -31,7 +31,7 @@ from .lattice import (
     GridFrame,
     GridVertex,
     ShiftSequence,
-    _coord_image,
+    _face_image,
     _splitmix64,
     build_frames,
     face_map_g,
@@ -89,7 +89,7 @@ class MalformedStream(ValueError):
 
 
 def _fmt_g17(x: float) -> str:
-    return "%.17g" % (x,)
+    return "%.17g" % (x,)  # inf and nan print as "inf" and "nan"
 
 
 class EventStream:
@@ -177,8 +177,12 @@ class EventStream:
                 raise MalformedStream("line %d: cannot parse %r" % (lineno, line))
         return cls(n, d, k, metric, seed, lam, m, mode, events)
 
+    def _header(self) -> Tuple:
+        return (self.n, self.d, self.k, self.metric, self.seed, self.lam, self.m, self.mode)
+
     def __eq__(self, other):
-        return isinstance(other, EventStream) and self.to_text() == other.to_text()
+        return (isinstance(other, EventStream) and self._header() == other._header()
+                and self.events == other.events)
 
 
 @dataclass(frozen=True)
@@ -476,55 +480,50 @@ class Snapshot:
         self.cells = cells
         self.find = find
 
-    def simplices(self) -> Set[frozenset]:
-        return self.cells
-
     def n_vertices(self) -> int:
         return len(self.live)
 
 
-def replay(stream: EventStream, upto: Optional[int] = None) -> Snapshot:
-    """Replay events through the contraction union-find.
+def _find(parent: Dict[int, int], x: int) -> int:
+    """Root of x in a union-find stored as a child -> parent map."""
+    while x in parent:
+        x = parent[x]
+    return x
 
-    `upto` selects a 0-based ordinal among the Scale events present in
-    the stream (None = the whole stream). Raises MalformedStream on
-    dangling ids, dead references, or non-monotone scales.
+
+def _walk_scales(stream: EventStream) -> Iterator[tuple]:
+    """Validate the events and yield the state after each scale group.
+
+    Yields (alpha, parent, raw, dim_of_id): the group's scale, the
+    contraction union-find, the vertex tuple of every inclusion so far
+    and the dimension of every included id. The containers are live and
+    keep growing; copy what must outlast the next step. Raises
+    MalformedStream on dangling ids, dead references, or non-monotone
+    scales.
     """
     parent: Dict[int, int] = {}
-    dead: Set[int] = set()
     dim_of_id: Dict[int, int] = {}
     raw: List[Tuple[int, ...]] = []
     simplicial = stream.mode == "simplicial"
-    alpha_prev = None
-    ordinal = -1
-    current_alpha = None
-
-    def find(x: int) -> int:
-        while x in parent:
-            x = parent[x]
-        return x
+    alpha = None
 
     for e in stream.events:
         if isinstance(e, Scale):
-            if alpha_prev is not None and e.alpha < alpha_prev:
-                raise MalformedStream("scale values decrease at %r" % (e,))
-            alpha_prev = e.alpha
-            ordinal += 1
-            if upto is not None and ordinal > upto:
-                ordinal -= 1
-                break
-            current_alpha = e.alpha
+            if alpha is not None:
+                if e.alpha < alpha:
+                    raise MalformedStream("scale values decrease at %r" % (e,))
+                yield alpha, parent, raw, dim_of_id
+            alpha = e.alpha
             continue
-        if ordinal < 0:
+        if alpha is None:
             raise MalformedStream("event before first scale: %r" % (e,))
         if isinstance(e, Contract):
             if e.i >= e.j:
                 raise MalformedStream("contract needs i < j: %r" % (e,))
             for x in (e.i, e.j):
-                if dim_of_id.get(x) != 0 or x in dead:
+                if dim_of_id.get(x) != 0 or x in parent:
                     raise MalformedStream("contract of unknown or dead id: %r" % (e,))
             parent[e.j] = e.i
-            dead.add(e.j)
         else:
             if e.id in dim_of_id:
                 raise MalformedStream("id %d included twice" % e.id)
@@ -540,16 +539,30 @@ def replay(stream: EventStream, upto: Optional[int] = None) -> Snapshot:
                 if tuple(sorted(e.vertices)) != e.vertices:
                     raise MalformedStream("vertex list not sorted: %r" % (e,))
                 for v in e.vertices:
-                    if dim_of_id.get(v) != 0 or v in dead:
+                    if dim_of_id.get(v) != 0 or v in parent:
                         raise MalformedStream("reference to unknown or dead id: %r" % (e,))
                 dim_of_id[e.id] = e.dim
                 raw.append(e.vertices)
+    if alpha is not None:
+        yield alpha, parent, raw, dim_of_id
 
-    cells: Set[frozenset] = set()
-    for verts in raw:
-        cells.add(frozenset(find(v) for v in verts))
-    live = {find(i) for i, dm in dim_of_id.items() if dm == 0}
-    return Snapshot(stream.mode, current_alpha, ordinal, live, cells, dict(parent))
+
+def replay(stream: EventStream, upto: Optional[int] = None) -> Snapshot:
+    """Replay events through the contraction union-find.
+
+    `upto` selects a 0-based ordinal among the Scale events present in
+    the stream (None = the whole stream). Raises MalformedStream on
+    dangling ids, dead references, or non-monotone scales.
+    """
+    ordinal = -1
+    alpha, parent, raw, dim_of_id = None, {}, [], {}
+    if upto is None or upto >= 0:
+        for ordinal, (alpha, parent, raw, dim_of_id) in enumerate(_walk_scales(stream)):
+            if ordinal == upto:
+                break
+    cells = {frozenset(_find(parent, v) for v in verts) for verts in raw}
+    live = {_find(parent, i) for i, dm in dim_of_id.items() if dm == 0}
+    return Snapshot(stream.mode, alpha, ordinal, live, cells, dict(parent))
 
 
 def stirling2(n: int, r: int) -> int:
@@ -603,21 +616,11 @@ def survival_experiment(d: int, k: int, trials: int, seed: int) -> Counter:
     for t in range(trials):
         sub = _splitmix64((seed & ((1 << 64) - 1)) ^ _splitmix64(t + 1))
         shifts = ShiftSequence(sub, d)
-        anchor = [0] * d
+        anchor: Tuple[int, ...] = (0,) * d
         mask = (1 << k) - 1
         y = 0
         while mask:
-            eps = shifts.signs(y)
-            new_anchor = []
-            new_mask = 0
-            for i in range(d):
-                lo = _coord_image(anchor[i], eps[i])
-                if mask >> i & 1:
-                    hi = _coord_image(anchor[i] + 1, eps[i])
-                    if hi != lo:
-                        new_mask |= 1 << i
-                new_anchor.append(lo)
-            anchor, mask = new_anchor, new_mask
+            anchor, mask = _face_image(anchor, mask, shifts.signs(y))
             y += 1
             if y > 10000:
                 raise RuntimeError("survival runaway")

@@ -112,12 +112,15 @@ def test_seed_flag_beats_env(tmp_path, monkeypatch):
     assert EventStream.parse(out.read_text()).seed == 8
 
 
-def test_seed_env_invalid(tmp_path, monkeypatch):
+def test_seed_env_invalid(tmp_path, monkeypatch, capsys):
     pts = write_points(tmp_path, [[0.0], [1.0]])
     monkeypatch.setenv("RIPSAPPROX_SEED", "not-a-number")
     with pytest.raises(SystemExit) as exc:
         main(["tower", pts])
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "RIPSAPPROX_SEED" in err and "not-a-number" in err
+    assert err.count("\n") == 1
 
 
 # --- rips barcode ---

@@ -7,7 +7,6 @@ from ripsapprox.cubical import (
     active_vertices,
     closure,
     cubical_boundary,
-    cubical_map,
     incident_faces,
     is_spanned,
     spanned_faces,
@@ -19,6 +18,7 @@ from ripsapprox.lattice import (
     GridVertex,
     ShiftSequence,
     build_frames,
+    face_map_g,
     locate,
     vertex_map_g,
 )
@@ -225,7 +225,7 @@ def test_cubical_map_collapsing_edge_lands_on_active_vertex():
     U0 = closure(spanned_faces(frames[0], V0))
     edge = Face(0, (0,), 1)
     assert U0.is_active(edge)
-    img = cubical_map(frames, 0, edge)
+    img = face_map_g(frames, 0, edge)
     assert img.dim == 0
     V1 = active_vertices(frames[1], P)
     U1 = closure(spanned_faces(frames[1], V1))
@@ -286,7 +286,7 @@ def test_active_faces_map_to_active_faces():
             _, U = levels[s]
             _, U_next = levels[s + 1]
             for f in U.faces():
-                img = cubical_map(frames, s, f)
+                img = face_map_g(frames, s, f)
                 assert img in U_next
                 if U.is_active(f):
                     assert U_next.is_active(img)
@@ -314,4 +314,4 @@ def test_secondary_vertex_maps_into_next_complex():
     V1 = active_vertices(frames[1], P)
     U1 = closure(spanned_faces(frames[1], V1))
     for f in U0.secondary_faces():
-        assert cubical_map(frames, 0, f) in U1
+        assert face_map_g(frames, 0, f) in U1

@@ -9,7 +9,6 @@ from ripsapprox.diagram import (
     deletion_cost,
     multiplicative_bottleneck,
     ratio_cost,
-    scale_barcode,
 )
 from ripsapprox.geometry import PointCloud
 from ripsapprox.persistence import Barcode, reduce, rips_filtration
@@ -54,12 +53,12 @@ def test_deletion_cost_values():
 
 def test_scale_barcode():
     a = bc(p0=[(1.0, 4.0)])
-    assert scale_barcode(a, 0.5) == bc(p0=[(0.5, 2.0)])
-    assert scale_barcode(a, 1.0) == a
+    assert a.scaled(0.5) == bc(p0=[(0.5, 2.0)])
+    assert a.scaled(1.0) == a
     ess = bc(p1=[(0.0, INF)])
-    assert scale_barcode(ess, 7.0) == ess
+    assert ess.scaled(7.0) == ess
     with pytest.raises(ValueError):
-        scale_barcode(a, 0.0)
+        a.scaled(0.0)
 
 
 # --- bottleneck distance ---

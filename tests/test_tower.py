@@ -25,6 +25,7 @@ from ripsapprox.tower import (
     survival_experiment,
     _chains_ending,
 )
+from ripsapprox.persistence import tower_barcode
 
 from conftest import random_cloud
 
@@ -90,6 +91,11 @@ def test_stream_text_roundtrip():
         assert again == stream
         assert again.mode == mode
         assert again.to_text() == stream.to_text()
+        again.seed += 1
+        assert again != stream
+        again.seed -= 1
+        again.events.pop()
+        assert again != stream
 
 
 def test_stream_header_content():
@@ -303,6 +309,14 @@ def parse_replay(body, **kw):
     return replay(EventStream.parse(HEAD + body), **kw)
 
 
+def assert_rejected(body):
+    """Both stream readers refuse the body with MalformedStream."""
+    stream = EventStream.parse(HEAD + body)
+    for read in (replay, tower_barcode):
+        with pytest.raises(MalformedStream):
+            read(stream)
+
+
 def test_replay_accepts_minimal_stream():
     snap = parse_replay("S 1\nI 0 0\nI 1 0\nI 2 1 0 1\n")
     assert snap.cells == {frozenset([0]), frozenset([1]), frozenset([0, 1])}
@@ -327,56 +341,43 @@ def test_replay_upto_prefix():
 
 
 def test_replay_rejects_event_before_scale():
-    with pytest.raises(MalformedStream):
-        parse_replay("I 0 0\n")
+    assert_rejected("I 0 0\n")
 
 
 def test_replay_rejects_duplicate_id():
-    with pytest.raises(MalformedStream):
-        parse_replay("S 1\nI 0 0\nI 0 0\n")
+    assert_rejected("S 1\nI 0 0\nI 0 0\n")
 
 
 def test_replay_rejects_vertex_list_on_0cell():
-    with pytest.raises(MalformedStream):
-        parse_replay("S 1\nI 0 0\nI 1 0 0\n")
+    assert_rejected("S 1\nI 0 0\nI 1 0 0\n")
 
 
 def test_replay_rejects_wrong_arity():
-    with pytest.raises(MalformedStream):
-        parse_replay("S 1\nI 0 0\nI 1 0\nI 2 1 0 1 1\n")
-    with pytest.raises(MalformedStream):
-        parse_replay("S 1\nI 0 0\nI 1 0\nI 2 2 0 1\n")
+    assert_rejected("S 1\nI 0 0\nI 1 0\nI 2 1 0 1 1\n")
+    assert_rejected("S 1\nI 0 0\nI 1 0\nI 2 2 0 1\n")
 
 
 def test_replay_rejects_unsorted_vertices():
-    with pytest.raises(MalformedStream):
-        parse_replay("S 1\nI 0 0\nI 1 0\nI 2 1 1 0\n")
+    assert_rejected("S 1\nI 0 0\nI 1 0\nI 2 1 1 0\n")
 
 
 def test_replay_rejects_unknown_reference():
-    with pytest.raises(MalformedStream):
-        parse_replay("S 1\nI 0 0\nI 2 1 0 1\n")
+    assert_rejected("S 1\nI 0 0\nI 2 1 0 1\n")
 
 
 def test_replay_rejects_reference_to_dead_vertex():
-    with pytest.raises(MalformedStream):
-        parse_replay("S 1\nI 0 0\nI 1 0\nS 2\nC 0 1\nI 2 1 0 1\n")
+    assert_rejected("S 1\nI 0 0\nI 1 0\nS 2\nC 0 1\nI 2 1 0 1\n")
 
 
 def test_replay_rejects_bad_contracts():
-    with pytest.raises(MalformedStream):
-        parse_replay("S 1\nI 0 0\nI 1 0\nC 1 0\n")  # needs i < j
-    with pytest.raises(MalformedStream):
-        parse_replay("S 1\nI 0 0\nC 0 3\n")  # unknown id
-    with pytest.raises(MalformedStream):
-        parse_replay("S 1\nI 0 0\nI 1 0\nC 0 1\nC 0 1\n")  # j already dead
-    with pytest.raises(MalformedStream):
-        parse_replay("S 1\nI 0 0\nI 1 0\nI 2 1 0 1\nC 0 2\n")  # not a vertex
+    assert_rejected("S 1\nI 0 0\nI 1 0\nC 1 0\n")  # needs i < j
+    assert_rejected("S 1\nI 0 0\nC 0 3\n")  # unknown id
+    assert_rejected("S 1\nI 0 0\nI 1 0\nC 0 1\nC 0 1\n")  # j already dead
+    assert_rejected("S 1\nI 0 0\nI 1 0\nI 2 1 0 1\nC 0 2\n")  # not a vertex
 
 
 def test_replay_rejects_decreasing_scales():
-    with pytest.raises(MalformedStream):
-        parse_replay("S 2\nI 0 0\nS 1\nI 1 0\n")
+    assert_rejected("S 2\nI 0 0\nS 1\nI 1 0\n")
 
 
 def test_replay_cubical_arity():
