@@ -19,6 +19,7 @@ CLOUDS = {
     "d1": (11, 10, 1),
     "d2": (12, 12, 2),
     "d3": (13, 8, 3),
+    "d4": (14, 10, 4),
 }
 
 # output name -> CLI arguments, run in this order with `--out <name>`;
@@ -39,6 +40,9 @@ RUNS = [
     ("stats_d3_k2_points", ["stats", "{tower_d3_k2}", "--points", "{d3}"]),
     ("stats_d3_cubical", ["stats", "{tower_d3_cubical}"]),
     ("stats_d3_cubical_points", ["stats", "{tower_d3_cubical}", "--points", "{d3}"]),
+    ("tower_d4_cubical", ["tower", "{d4}", "--mode", "cubical", "--seed", "3"]),
+    ("stats_d4_cubical_points", ["stats", "{tower_d4_cubical}", "--points", "{d4}"]),
+    ("tower_d4_k2", ["tower", "{d4}", "--k", "2", "--seed", "3"]),
     ("survival_d5_k2", ["survival", "--d", "5", "--k", "2", "--trials", "300", "--seed", "4"]),
 ]
 
@@ -59,6 +63,9 @@ GOLDEN = {
     "stats_d3_k2_points": (0, "edeb6e0d0ac2cd4ed80c0934462bc301d924ceb3f06347c91b22de9128466b5c"),
     "stats_d3_cubical": (0, "d6c3ed6de9c63c01862284caa3f9feb0c1e67432bcc5e3c3cb8972bad5fd6b9a"),
     "stats_d3_cubical_points": (0, "5cc45fba0cc9893a245820633e5d8e1dc6c02e7f0c60146067ded7a6df9313f1"),
+    "tower_d4_cubical": (0, "e29911ca70a2b74c28757a3cd6b7ece0abe1ac66c30f56123a3883028518a96f"),
+    "stats_d4_cubical_points": (0, "f335dbb8a0e11dac4c8c6db97dccc5ef7b0c84ed57242aa9dbcf90277303660e"),
+    "tower_d4_k2": (0, "67417a6788cdba2c64ac4368365673cf97f5fe18f49b7fff73b3c8bd015dd49e"),
     "survival_d5_k2": (0, "46714421bea220007744ea3658b206ec819a863c993e5596cc355707efe2e0c1"),
 }
 
