@@ -128,34 +128,47 @@ def incident_faces(s: int, z: Tuple[int, ...], directions: Iterable[int]) -> Ite
 def spanned_faces(frame: GridFrame, V: ActiveVertexMap) -> Set[Face]:
     """All faces of the grid spanned by the active vertices.
 
-    Candidates are enumerated per active vertex over its incident faces.
-    A spanned face containing v must, in every extent direction, own an
-    active vertex differing from v there (all corners are within index
-    distance one), so the enumeration is restricted to directions where
-    v has such a neighbor; this prunes nothing that is spanned.
+    A face is spanned exactly when it is the bounding box of a nonempty
+    set of active vertices of index L-infinity diameter at most one. A
+    neighbour w of v (|w - v| <= 1 coordinate-wise) is coded by two
+    direction bitmasks, `plus` where w_i = v_i + 1 and `minus` where
+    w_i = v_i - 1; neighbours are found by descending a coordinate trie
+    of the active vertices along v_i - 1, v_i, v_i + 1, so only existing
+    prefixes are visited (never all 3^d offsets, never all of V). The
+    boxes around v are then the closure of (P, N) = (0, 0) under the
+    join (P | plus, N | minus) with v's neighbours, kept while
+    P & N == 0, and box (P, N) is the face with anchor v - N and mask
+    P | N.
     """
     if len(V) == 0:
         raise ValueError("no active vertices")
-    d = frame.d
-    if d > MAX_DIM:
+    if frame.d > MAX_DIM:
         raise ValueError("d > %d unsupported" % MAX_DIM)
+    trie: dict = {}
+    for z in V:
+        node = trie
+        for x in z:
+            node = node.setdefault(x, {})
+    s = frame.s
     out: Set[Face] = set()
-    verts = set(V)
-    for v in verts:
-        dirs = []
-        for i in range(d):
-            found = False
-            for w in verts:
-                if w[i] != v[i] and all(abs(w[j] - v[j]) <= 1 for j in range(d)):
-                    found = True
-                    break
-            if found:
-                dirs.append(i)
-        for f in incident_faces(frame.s, v, dirs):
-            if f in out:
-                continue
-            if is_spanned(f, V):
-                out.add(f)
+    for v in V:
+        near = [(trie, 0, 0)]
+        bit = 1
+        for x in v:
+            step = []
+            for node, plus, minus in near:
+                for y, p, m in ((x - 1, 0, bit), (x, 0, 0), (x + 1, bit, 0)):
+                    child = node.get(y)
+                    if child is not None:
+                        step.append((child, plus | p, minus | m))
+            near = step
+            bit <<= 1
+        boxes = {(0, 0)}
+        for _, plus, minus in near:
+            if plus | minus:
+                boxes |= {(P | plus, N | minus) for P, N in boxes if not (P | plus) & (N | minus)}
+        for P, N in boxes:
+            out.add(Face(s, tuple([x - (N >> i & 1) for i, x in enumerate(v)]), P | N))
     return out
 
 

@@ -70,24 +70,44 @@ def _feasible(c: float, nA: int, nB: int, pair, delA, delB) -> bool:
             row.append(j)
         adj.append(row)
 
+    # greedy start: every vertex takes its first free partner; the
+    # augmenting searches below then only run for the few left over
     match_r = [-1] * (nA + nB)
+    unmatched = []
+    for u, row in enumerate(adj):
+        for v in row:
+            if match_r[v] < 0:
+                match_r[v] = u
+                break
+        else:
+            unmatched.append(u)
 
-    def augment(u: int, seen: List[bool]) -> bool:
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                if match_r[v] < 0 or augment(match_r[v], seen):
-                    match_r[v] = u
-                    return True
-        return False
-
-    size = 0
-    for u in range(nA + nB):
-        if augment(u, [False] * (nA + nB)):
-            size += 1
+    for root in unmatched:
+        # iterative depth-first search for an augmenting path: stack[i]
+        # is a left vertex with the iterator over its remaining edges,
+        # via[i] the right vertex through which stack[i + 1] was reached
+        seen = [False] * (nA + nB)
+        stack = [(root, iter(adj[root]))]
+        via: List[int] = []
+        while stack:
+            for v in stack[-1][1]:
+                if not seen[v]:
+                    break
+            else:
+                stack.pop()
+                if via:
+                    via.pop()
+                continue
+            seen[v] = True
+            via.append(v)
+            if match_r[v] < 0:
+                for (u, _), w in zip(stack, via):
+                    match_r[w] = u
+                break
+            stack.append((match_r[v], iter(adj[match_r[v]])))
         else:
             return False
-    return size == nA + nB
+    return True
 
 
 def _bottleneck_lists(A: List[Interval], B: List[Interval]) -> float:

@@ -112,12 +112,18 @@ class PointCloud:
         return cls(rows)
 
     def pairwise_distances(self, metric) -> np.ndarray:
-        """Full n x n distance matrix under the chosen metric."""
+        """Full n x n distance matrix under the chosen metric.
+
+        Raises ValueError when a distance overflows float64.
+        """
         pts = self.points
-        diff = np.abs(pts[:, None, :] - pts[None, :, :])
-        if _metric_fn(metric) is linf_distance:
-            return diff.max(axis=2)
-        return np.sqrt((diff ** 2).sum(axis=2))
+        linf = _metric_fn(metric) is linf_distance
+        with np.errstate(over="ignore"):
+            diff = np.abs(pts[:, None, :] - pts[None, :, :])
+            dist = diff.max(axis=2) if linf else np.sqrt((diff ** 2).sum(axis=2))
+        if not np.all(np.isfinite(dist)):
+            raise ValueError("distance overflow: coordinates too far apart for float64")
+        return dist
 
 
 def closest_pair(P: PointCloud, metric="linf"):

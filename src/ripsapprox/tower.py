@@ -159,6 +159,9 @@ class EventStream:
             raise MalformedStream("bad header fields: %r" % lines[0])
         if metric not in ("linf", "l2") or mode not in ("simplicial", "cubical"):
             raise MalformedStream("bad metric/mode in header")
+        if not (n >= 1 and 1 <= d <= MAX_DIM and 0 <= k <= d and m >= 0
+                and math.isfinite(lam) and lam > 0):
+            raise MalformedStream("header field out of range: %r" % lines[0])
         events: List = []
         for lineno, line in enumerate(lines[1:], start=2):
             parts = line.split()
@@ -498,17 +501,21 @@ def _walk_scales(stream: EventStream) -> Iterator[tuple]:
     contraction union-find, the vertex tuple of every inclusion so far
     and the dimension of every included id. The containers are live and
     keep growing; copy what must outlast the next step. Raises
-    MalformedStream on dangling ids, dead references, or non-monotone
-    scales.
+    MalformedStream on dangling ids, dead references, scales that are
+    not finite and positive or that decrease, and cells of dimension
+    outside 0..k (simplicial) or 0..d (cubical).
     """
     parent: Dict[int, int] = {}
     dim_of_id: Dict[int, int] = {}
     raw: List[Tuple[int, ...]] = []
     simplicial = stream.mode == "simplicial"
+    top_dim = stream.k if simplicial else stream.d
     alpha = None
 
     for e in stream.events:
         if isinstance(e, Scale):
+            if not (math.isfinite(e.alpha) and e.alpha > 0):
+                raise MalformedStream("scale must be finite and positive: %r" % (e,))
             if alpha is not None:
                 if e.alpha < alpha:
                     raise MalformedStream("scale values decrease at %r" % (e,))
@@ -527,6 +534,8 @@ def _walk_scales(stream: EventStream) -> Iterator[tuple]:
         else:
             if e.id in dim_of_id:
                 raise MalformedStream("id %d included twice" % e.id)
+            if not 0 <= e.dim <= top_dim:
+                raise MalformedStream("dimension outside 0..%d: %r" % (top_dim, e))
             if e.dim == 0:
                 if e.vertices:
                     raise MalformedStream("0-cell with vertex list: %r" % (e,))
@@ -552,7 +561,7 @@ def replay(stream: EventStream, upto: Optional[int] = None) -> Snapshot:
 
     `upto` selects a 0-based ordinal among the Scale events present in
     the stream (None = the whole stream). Raises MalformedStream on
-    dangling ids, dead references, or non-monotone scales.
+    every stream `_walk_scales` rejects.
     """
     ordinal = -1
     alpha, parent, raw, dim_of_id = None, {}, [], {}

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -254,6 +255,20 @@ def test_stats_malformed_exit(tmp_path):
     assert main(["stats", str(f)]) == EXIT_MALFORMED
 
 
+@pytest.mark.parametrize("text", [
+    "H 2 1 1 linf 0 1 1 simplicial\nS nan\nI 0 0\nI 1 0\n",
+    "H -2 1 1 linf 0 1 1 simplicial\nS 1\nI 0 0\nI 1 0\n",
+    "H 4 2 0 linf 0 1 1 cubical\nS 1\nI 0 0\nI 1 0\nI 2 -1 0 1\n",
+])
+def test_malformed_stream_values_exit(tmp_path, capsys, text):
+    f = tmp_path / "bad.txt"
+    f.write_text(text)
+    for cmd in ("stats", "tower-barcode"):
+        assert main([cmd, str(f)]) == EXIT_MALFORMED
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("malformed stream: ")
+
+
 # --- survival ---
 
 
@@ -267,6 +282,17 @@ def test_survival_command(tmp_path, capsys):
     assert main(["survival", "--trials", "200", "--seed", "5", "--out", str(a)]) == EXIT_OK
     assert main(["survival", "--trials", "200", "--seed", "5", "--out", str(b)]) == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_coordinate_overflow_exit(tmp_path, capsys):
+    pts = write_points(tmp_path, [[1e308, 1e308], [-1e308, -1e308], [0.0, 1.0]])
+    for args in (["tower", pts], ["compare", pts, "--metric", "l2"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(args) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "parse error: distance overflow: coordinates too far apart for float64\n"
 
 
 # --- plumbing ---

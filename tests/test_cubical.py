@@ -14,7 +14,9 @@ from ripsapprox.cubical import (
 )
 from ripsapprox.geometry import PointCloud
 from ripsapprox.lattice import (
+    MAX_DIM,
     Face,
+    GridFrame,
     GridVertex,
     ShiftSequence,
     build_frames,
@@ -111,14 +113,26 @@ def test_spanned_faces_empty_rejected():
 
 
 def test_spanned_faces_matches_bruteforce():
+    # d = 1..5; vertex sets from one vertex to clusters filling most of
+    # a 3^d block, plus sparse sets spread over a 5^d block
     rng = np.random.default_rng(17)
-    for trial in range(60):
-        d = int(rng.integers(1, 4))
-        fr = frames_fixed(1.0, [tuple(rng.choice((-1, 1), d))])[0]
-        nverts = int(rng.integers(1, 7))
-        zs = {tuple(int(t) for t in rng.integers(0, 3, d)) for _ in range(nverts)}
-        V = vmap(0, {z: [i] for i, z in enumerate(sorted(zs))})
-        assert spanned_faces(fr, V) == spanned_faces_bruteforce(fr, V)
+    for d in range(1, 6):
+        block = [tuple(int(t) for t in z) for z in np.ndindex(*(3,) * d)]
+        for fill in (0.0, 0.1, 0.3, 0.6, 0.9, None, None, None):
+            fr = frames_fixed(1.0, [tuple(rng.choice((-1, 1), d))])[0]
+            if fill is None:
+                zs = {tuple(int(t) for t in rng.integers(0, 5, d)) for _ in range(3 * d)}
+            else:
+                zs = {z for z in block if rng.random() < fill}
+                zs = zs or {block[int(rng.integers(len(block)))]}
+            V = vmap(0, {z: [i] for i, z in enumerate(sorted(zs))})
+            assert spanned_faces(fr, V) == spanned_faces_bruteforce(fr, V), (d, sorted(zs))
+
+
+def test_spanned_faces_dimension_limit():
+    fr = GridFrame(0, 1.0, (0,) * (MAX_DIM + 1))
+    with pytest.raises(ValueError):
+        spanned_faces(fr, vmap(0, {(0,) * (MAX_DIM + 1): [0]}))
 
 
 def test_incident_faces_counts():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ripsapprox import diagram
 from ripsapprox.diagram import (
     Certificate,
     certify_approximation,
@@ -132,6 +133,83 @@ def test_bottleneck_exact_rips_self():
     P = random_cloud(2, 8, 2)
     rbc = reduce(rips_filtration(P, "linf", 1), homology_cap=1)
     assert multiplicative_bottleneck(rbc, rbc) == 1.0
+
+
+def _feasible_recursive(c, nA, nB, pair, delA, delB):
+    """Reference: the recursive Kuhn matching that the iterative one replaced."""
+    adj = []
+    for i in range(nA):
+        row = [j for j in range(nB) if pair[i][j] <= c]
+        if delA[i] <= c:
+            row.append(nB + i)
+        adj.append(row)
+    for j in range(nB):
+        row = list(range(nB, nB + nA))
+        if delB[j] <= c:
+            row.append(j)
+        adj.append(row)
+    match_r = [-1] * (nA + nB)
+
+    def augment(u, seen):
+        for v in adj[u]:
+            if not seen[v]:
+                seen[v] = True
+                if match_r[v] < 0 or augment(match_r[v], seen):
+                    match_r[v] = u
+                    return True
+        return False
+
+    return all(augment(u, [False] * (nA + nB)) for u in range(nA + nB))
+
+
+def _diagram_test_pairs():
+    """Interval lists of the bottleneck tests above plus random mixed ones."""
+    pairs = [
+        ([(0.0, 1.0), (0.0, 2.5)], [(0.0, 1.0), (0.0, 2.5)]),
+        ([(1.0, 4.0)], [(2.0, 4.0)]),
+        ([(1.0, 2.0)], []),
+        ([(1.0, 4.0), (2.0, 8.0)], [(1.5, 4.0), (2.0, 8.0)]),
+        ([(0.0, 1.0)], [(1.0, 2.0)]),
+        ([(1.0, INF)], [(1.0, 2.0)]),
+        ([(0.0, INF)], []),
+        ([(1.0, 8.0)], [(2.0, 8.0)]),
+    ]
+    rng = np.random.default_rng(3)
+    for _ in range(60):
+        lists = []
+        for _ in range(2):
+            out = []
+            for _ in range(int(rng.integers(0, 7))):
+                b = float(rng.choice([0.0, 1.0, rng.uniform(0.5, 4.0)]))
+                out.append((b, float(rng.choice([b, 2.0 * b + 1.0, b + rng.uniform(0.1, 3.0), INF]))))
+            lists.append(out)
+        pairs.append(tuple(lists))
+    P = random_cloud(2, 8, 2)
+    rbc = reduce(rips_filtration(P, "linf", 1), homology_cap=1)
+    pairs.extend((rbc.intervals(p), rbc.intervals(p)) for p in rbc.dimensions())
+    return pairs
+
+
+def test_bottleneck_matches_recursive_reference(monkeypatch):
+    for A, B in _diagram_test_pairs():
+        pair = [[ratio_cost(a, b) for b in B] for a in A]
+        delA = [deletion_cost(a) for a in A]
+        delB = [deletion_cost(b) for b in B]
+        for c in sorted({1.0, INF} | {x for row in pair for x in row} | set(delA) | set(delB)):
+            assert diagram._feasible(c, len(A), len(B), pair, delA, delB) == \
+                _feasible_recursive(c, len(A), len(B), pair, delA, delB), (A, B, c)
+    expected = [diagram._bottleneck_lists(A, B) for A, B in _diagram_test_pairs()]
+    monkeypatch.setattr(diagram, "_feasible", _feasible_recursive)
+    assert [diagram._bottleneck_lists(A, B) for A, B in _diagram_test_pairs()] == expected
+
+
+def test_bottleneck_many_dim0_intervals():
+    # 1200 intervals: deep augmenting paths that overflowed the recursion limit
+    rng = np.random.default_rng(4)
+    deaths = rng.choice(np.linspace(1.0, 4.0, 13), size=1200)
+    a = bc(p0=[(0.0, float(x)) for x in deaths])
+    b = bc(p0=[(0.0, 1.25 * float(x)) for x in rng.permutation(deaths)])
+    assert multiplicative_bottleneck(a, b, 0) == pytest.approx(1.25)
 
 
 # --- certification ---

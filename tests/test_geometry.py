@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -140,6 +141,19 @@ def test_pairwise_matches_scalar_metrics():
         for i in range(P.n):
             for j in range(P.n):
                 assert dm[i, j] == pytest.approx(fn(P[i], P[j]))
+
+
+def test_pairwise_distance_overflow_rejected():
+    far = PointCloud([[1e308, 0.0], [-1e308, 0.0]])
+    wide = PointCloud([[1e200, 0.0], [0.0, 0.0]])  # finite in linf, squares overflow in l2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for P, metric in ((far, "linf"), (far, "l2"), (wide, "l2")):
+            with pytest.raises(ValueError, match="distance overflow"):
+                P.pairwise_distances(metric)
+        assert wide.pairwise_distances("linf")[0, 1] == 1e200
+        with pytest.raises(ValueError, match="distance overflow"):
+            closest_pair(far)
 
 
 @st.composite

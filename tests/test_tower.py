@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from ripsapprox import tower
+from ripsapprox.cubical import spanned_faces_bruteforce
 from ripsapprox.geometry import PointCloud, diameter, spread
 from ripsapprox.lattice import Face
 from ripsapprox.tower import (
@@ -126,6 +128,17 @@ def test_parse_rejects_bad_input():
         EventStream.parse("H 2 1 1 linf 0 0.5 1 simplicial\nS one\n")
     with pytest.raises(MalformedStream):
         EventStream.parse("H 2 1 1 linf 0 0.5 1 simplicial\nC 1\n")
+    # header fields out of range: n >= 1, 1 <= d <= MAX_DIM, 0 <= k <= d,
+    # m >= 0, lambda finite and positive
+    for head in ("H 0 1 1 linf 0 0.5 1 simplicial", "H -2 1 1 linf 0 0.5 1 simplicial",
+                 "H 2 0 0 linf 0 0.5 1 simplicial", "H 2 33 1 linf 0 0.5 1 cubical",
+                 "H 2 1 -1 linf 0 0.5 1 simplicial", "H 2 1 2 linf 0 0.5 1 simplicial",
+                 "H 2 1 1 linf 0 0.5 -1 simplicial", "H 2 1 1 linf 0 0 1 simplicial",
+                 "H 2 1 1 linf 0 -0.5 1 simplicial", "H 2 1 1 linf 0 nan 1 simplicial",
+                 "H 2 1 1 linf 0 inf 1 simplicial"):
+        with pytest.raises(MalformedStream):
+            EventStream.parse(head + "\n")
+    assert EventStream.parse("H 1 32 32 l2 0 1e-300 0 cubical\n").d == 32
 
 
 def test_counts_and_scale_values():
@@ -299,6 +312,16 @@ def test_audit_totals_match_stream():
         assert sc.alpha == stream.lam * (1 << sc.s)
 
 
+def test_towers_unchanged_with_bruteforce_spanned_faces(monkeypatch):
+    clouds = [random_cloud(70, 24, 2), random_cloud(71, 10, 3), random_cloud(72, 8, 4)]
+    built = [(build_cubical_tower(P, seed=5), build_simplicial_tower(P, 2, seed=5))
+             for P in clouds]
+    monkeypatch.setattr(tower, "spanned_faces", spanned_faces_bruteforce)
+    for P, (cubical, simplicial) in zip(clouds, built):
+        assert build_cubical_tower(P, seed=5) == cubical
+        assert build_simplicial_tower(P, 2, seed=5) == simplicial
+
+
 # --- replay validation ---
 
 
@@ -309,9 +332,9 @@ def parse_replay(body, **kw):
     return replay(EventStream.parse(HEAD + body), **kw)
 
 
-def assert_rejected(body):
+def assert_rejected(body, head=HEAD):
     """Both stream readers refuse the body with MalformedStream."""
-    stream = EventStream.parse(HEAD + body)
+    stream = EventStream.parse(head + body)
     for read in (replay, tower_barcode):
         with pytest.raises(MalformedStream):
             read(stream)
@@ -378,6 +401,23 @@ def test_replay_rejects_bad_contracts():
 
 def test_replay_rejects_decreasing_scales():
     assert_rejected("S 2\nI 0 0\nS 1\nI 1 0\n")
+
+
+def test_replay_rejects_bad_scale_values():
+    for alpha in ("nan", "inf", "-inf", "0", "-1"):
+        assert_rejected("S %s\nI 0 0\n" % alpha)
+        assert_rejected("S 1\nI 0 0\nS %s\nI 1 0\n" % alpha)
+
+
+def test_replay_rejects_dimension_out_of_range():
+    # simplicial: 0..k with k = 1 in HEAD
+    assert_rejected("S 1\nI 0 0\nI 1 0\nI 2 -1 0 1\n")
+    assert_rejected("S 1\nI 0 0\nI 1 0\nI 2 0\nI 3 2 0 1 2\n")
+    # cubical: 0..d with d = 2
+    head = "H 4 2 0 linf 0 1 1 cubical\n"
+    assert_rejected("S 1\nI 0 0\nI 1 0\nI 2 -1 0 1\n", head)
+    assert_rejected("S 1\n" + "".join("I %d 0\n" % i for i in range(8))
+                    + "I 8 3 0 1 2 3 4 5 6 7\n", head)
 
 
 def test_replay_cubical_arity():
