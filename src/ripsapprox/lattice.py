@@ -10,7 +10,7 @@ floating-point ties everywhere except point location.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 __all__ = [
     "MAX_DIM",
@@ -239,48 +239,53 @@ def face_map_g(frames: Sequence[GridFrame], s: int, f: Face) -> Face:
     return Face(s + 1, *_face_image(f.anchor, f.mask, _step_signs(frames, s)))
 
 
+def _submasks(mask: int):
+    """Every submask of mask in increasing order, from 0 to mask itself."""
+    sub = 0
+    while True:
+        yield sub
+        if sub == mask:
+            return
+        sub = (sub - mask) & mask
+
+
+def _corners(anchor: Tuple[int, ...], mask: int) -> Dict[int, Tuple[int, ...]]:
+    """anchor + e_high for every submask high of mask, one direction at a time."""
+    corner = {0: anchor}
+    rest = mask
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        i = bit.bit_length() - 1
+        for high, c in list(corner.items()):
+            corner[high | bit] = c[:i] + (c[i] + 1,) + c[i + 1:]
+    return corner
+
+
 def face_vertices(f: Face) -> List[Tuple[int, ...]]:
     """The 2^dim corner index vectors of a face."""
-    corners = [f.anchor]
-    for i in range(f.d):
-        if f.mask >> i & 1:
-            corners = corners + [tuple(c[j] + (1 if j == i else 0) for j in range(f.d)) for c in corners]
-    return corners
+    return list(_corners(f.anchor, f.mask).values())
 
 
 def subfaces(f: Face, proper: bool = False):
-    """All faces of f (3^dim of them), optionally excluding f itself."""
-    dirs = [i for i in range(f.d) if f.mask >> i & 1]
-    anchor = list(f.anchor)
+    """All faces of f (3^dim of them), optionally excluding f itself.
 
-    def rec(idx, anc, mask):
-        if idx == len(dirs):
-            yield Face(f.s, tuple(anc), mask)
-            return
-        i = dirs[idx]
-        # keep the extent, or degenerate at either end
-        yield from rec(idx + 1, anc, mask | (1 << i))
-        yield from rec(idx + 1, anc, mask)
-        anc2 = list(anc)
-        anc2[i] += 1
-        yield from rec(idx + 1, anc2, mask)
-
-    for g in rec(0, anchor, 0):
-        if proper and g == f:
+    A face of f keeps the extents in a submask `keep` of f.mask and
+    fixes each other extent direction at its upper end (in `high`) or
+    its lower end: Face(s, anchor + e_high, keep).
+    """
+    corner = _corners(f.anchor, f.mask)
+    for keep in _submasks(f.mask):
+        if proper and keep == f.mask:
             continue
-        yield g
+        for high in _submasks(f.mask ^ keep):
+            yield Face(f.s, corner[high], keep)
 
 
 def facets(f: Face) -> List[Face]:
     """Codimension-1 faces: per extent direction, the two fixing facets."""
-    out = []
-    for i in range(f.d):
-        if f.mask >> i & 1:
-            m = f.mask & ~(1 << i)
-            out.append(Face(f.s, f.anchor, m))
-            upper = tuple(a + (1 if j == i else 0) for j, a in enumerate(f.anchor))
-            out.append(Face(f.s, upper, m))
-    return out
+    bits = [1 << i for i in range(f.d) if f.mask >> i & 1]
+    return [Face(f.s, c, f.mask ^ bit) for bit in bits for c in _corners(f.anchor, bit).values()]
 
 
 def is_subface(f: Face, g: Face) -> bool:

@@ -21,7 +21,7 @@ from .cubical import CubicalComplex
 from .geometry import PointCloud
 from .lattice import facets
 from .tower import (EventStream, GuardrailExceeded, Include, MalformedStream, Scale, Snapshot,
-                    _find, _fmt_g17, _walk_scales)
+                    _find, _fmt_g17, _resolve_cells, _walk_scales)
 
 __all__ = [
     "Filtration",
@@ -280,7 +280,10 @@ def betti(obj) -> List[int]:
     elif isinstance(obj, Snapshot):
         if obj.mode != "simplicial":
             raise ValueError("betti of a snapshot needs a simplicial stream")
-        simplices = sorted(tuple(sorted(c)) for c in obj.cells)
+        try:
+            return betti(tuple(c) for c in obj.cells)
+        except ValueError as e:
+            raise MalformedStream("replayed cells: %s" % e)
     else:
         simplices = [tuple(sorted(t)) for t in obj]
     simplices = sorted(set(simplices), key=lambda t: (len(t), t))
@@ -293,11 +296,8 @@ def betti(obj) -> List[int]:
 
 
 def _snapshot_complex(raw, parent, nraw):
-    cells: Set[frozenset] = set()
-    for verts in raw[:nraw]:
-        cells.add(frozenset(_find(parent, v) for v in verts))
     by_dim: Dict[int, List[Tuple[int, ...]]] = {}
-    for c in cells:
+    for c in _resolve_cells(raw[:nraw], parent):
         by_dim.setdefault(len(c) - 1, []).append(tuple(sorted(c)))
     for p in by_dim:
         by_dim[p].sort()
@@ -308,7 +308,10 @@ def _boundary_vector(c: Tuple[int, ...], index: Dict[Tuple[int, ...], int]) -> i
     """Bitmask of the facets of a sorted simplex, over a face index."""
     vec = 0
     for i in range(len(c)):
-        vec ^= 1 << index[c[:i] + c[i + 1:]]
+        facet = c[:i] + c[i + 1:]
+        if facet not in index:
+            raise MalformedStream("simplex %r without its facet %r" % (c, facet))
+        vec ^= 1 << index[facet]
     return vec
 
 
@@ -391,14 +394,13 @@ def tower_barcode(stream: EventStream, k: Optional[int] = None) -> Barcode:
             bpiv.append(piv)
         # cell indices per snapshot for pushing
         cellidx = [{c: i for i, c in enumerate(complexes[t].get(p, []))} for t in range(T)]
+        cellsets = [[frozenset(c) for c in complexes[t].get(p, [])] for t in range(T)]
         r = [[0] * (T + 1) for _ in range(T)]
         for i in range(T):
             vecs = list(bases[i])
             r[i][i] = len(vecs)
             for j in range(i + 1, T):
-                src = complexes[j - 1].get(p, [])
-                src_cells = [frozenset(c) for c in src]
-                vecs = [_push_vector(v, src_cells, cellidx[j], parents[j]) for v in vecs]
+                vecs = [_push_vector(v, cellsets[j - 1], cellidx[j], parents[j]) for v in vecs]
                 # rank of the image in H_p(X_j): the pushed cycles that
                 # stay independent modulo the boundary space
                 pivots = dict(bpiv[j])

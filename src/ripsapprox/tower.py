@@ -221,6 +221,9 @@ def relevant_scales(P: PointCloud) -> ScaleLadder:
 
 
 def _ladder_for(P: PointCloud, lam_override, max_scales) -> ScaleLadder:
+    if P.n == 1:
+        # no closest pair exists; use a unit ladder with a single scale
+        return ScaleLadder(1.0, 0)
     if lam_override is not None:
         if lam_override <= 0:
             raise ValueError("lambda override must be positive")
@@ -244,8 +247,6 @@ class ScaleAudit:
 
     s: int
     alpha: float
-    frame: GridFrame
-    V: ActiveVertexMap
     U: CubicalComplex
     id_of_face: Dict[Face, int]
     new_active: int
@@ -307,21 +308,6 @@ def _chains_ending(F: Face, cap: int):
                 stack.append((g,) + c)
 
 
-def _single_point_stream(P, k, metric, seed, mode) -> Tuple["EventStream", "TowerAudit"]:
-    # no closest pair exists; use a unit ladder with a single scale
-    lam = 1.0
-    shifts = ShiftSequence(seed, P.d)
-    frames = build_frames(lam, 0, P.d, shifts)
-    V = active_vertices(frames[0], P)
-    U = closure(spanned_faces(frames[0], V))
-    f0 = U.faces()[0]
-    events = [Scale(lam), Include(0, 0, ())]
-    stream = EventStream(P.n, P.d, k, metric, seed, lam, 0, mode, events)
-    audit = TowerAudit(mode, ScaleLadder(lam, 0), frames)
-    audit.scales.append(ScaleAudit(0, lam, frames[0], V, U, {f0: 0}, 1, 0, {0: 1}, 0))
-    return stream, audit
-
-
 def _push_active(V: ActiveVertexMap, frames, s: int) -> ActiveVertexMap:
     """Next-scale active vertices via the vertex map (no point relocation)."""
     mapping: Dict[Tuple[int, ...], List[int]] = {}
@@ -335,121 +321,90 @@ def _build_tower(P: PointCloud, k: int, seed: int, metric: str, mode: str,
                  lam=None, max_scales=None, guard_cells=None) -> Tuple[EventStream, TowerAudit]:
     if P.d > MAX_DIM:
         raise GuardrailExceeded("d = %d exceeds %d" % (P.d, MAX_DIM))
-    if mode == "simplicial" and not (0 <= k <= P.d):
+    simplicial = mode == "simplicial"
+    if simplicial and not (0 <= k <= P.d):
         raise ValueError("k must be in 0..d")
-    if P.n == 1:
-        return _single_point_stream(P, k, metric, seed, mode)
 
     ladder = _ladder_for(P, lam, max_scales)
     d = P.d
     shifts = ShiftSequence(seed, d)
     frames = build_frames(ladder.lam, ladder.m, d, shifts)
     audit = TowerAudit(mode, ladder, frames)
+    # flags are strict subface chains of at most flag_len faces; a
+    # cubical tower emits the faces alone
+    flag_len = k + 1 if simplicial else 1
     events: List = []
-    next_id = [0]
-    total_cells = [0]
-
-    def fresh_id() -> int:
-        i = next_id[0]
-        next_id[0] += 1
-        return i
-
-    def check_guard(extra: int) -> None:
-        total_cells[0] += extra
-        if guard_cells is not None and total_cells[0] > guard_cells:
-            raise GuardrailExceeded(
-                "cell guardrail exceeded: %d > %d" % (total_cells[0], guard_cells)
-            )
-
-    # live vertex ids: for simplicial towers every face of the cubical
-    # complex is a vertex of the order complex; for cubical towers only
-    # grid vertices carry ids that later events reference
+    next_id = 0
+    total_cells = 0
+    # ids of the vertices of the output complex: every face of the
+    # cubical complex for simplicial towers, grid vertices for cubical
     id_of_face: Dict[Face, int] = {}
-    U_prev: Optional[CubicalComplex] = None
+    U: Optional[CubicalComplex] = None
     V = active_vertices(frames[0], P)
 
-    for s in range(ladder.m + 1):
-        frame = frames[s]
+    for s, frame in enumerate(frames):
         if s > 0:
             V = _push_active(V, frames, s - 1)
-        U = closure(spanned_faces(frame, V))
+        U_prev, U = U, closure(spanned_faces(frame, V))
 
         group: List = []
         new_id_of_face: Dict[Face, int] = {}
-        if U_prev is None:
-            new_faces = U.faces()
-        else:
+        images: Set[Face] = set()
+        if U_prev is not None:
             groups: Dict[Face, List[int]] = {}
-            for f, fid in id_of_face.items():
+            for f in U_prev.faces():
                 img = face_map_g(frames, s - 1, f)
                 assert img in U, "image face missing from next complex"
-                groups.setdefault(img, []).append(fid)
+                images.add(img)
+                fid = id_of_face.get(f)
+                if fid is not None:
+                    groups.setdefault(img, []).append(fid)
             for img in sorted(groups, key=lambda f: min(groups[f])):
                 ids = sorted(groups[img])
                 rep = ids[0]
                 new_id_of_face[img] = rep
                 for j in ids[1:]:
                     group.append(Contract(rep, j))
-            if mode == "simplicial":
-                new_faces = [f for f in U.faces() if f not in new_id_of_face]
-            else:
-                # newness is decided over all cells, not only the id-carrying
-                # grid vertices
-                img_all = set()
-                for f in U_prev.faces():
-                    img = face_map_g(frames, s - 1, f)
-                    assert img in U, "image face missing from next complex"
-                    img_all.add(img)
-                new_faces = [f for f in U.faces() if f not in img_all]
+        n_contr = len(group)
+        new_faces = [f for f in U.faces() if f not in images]
 
-        ib_dim: Dict[int, int] = {}
-        new_active = new_secondary = 0
+        # a flag is new iff its top face is new (images are closed under
+        # subfaces); price the faces and their flags before enumerating
+        total_cells += sum(chain_count(flag_len, F.dim) for F in new_faces)
+        if guard_cells is not None and total_cells > guard_cells:
+            raise GuardrailExceeded(
+                "cell guardrail exceeded: %d > %d" % (total_cells, guard_cells)
+            )
+
         for f in new_faces:
-            fid = fresh_id()
-            new_id_of_face[f] = fid
-            if U.is_active(f):
-                new_active += 1
+            if simplicial or f.dim == 0:
+                new_id_of_face[f] = next_id
+                group.append(Include(next_id, 0, ()))
             else:
-                new_secondary += 1
-            if mode == "simplicial" or f.dim == 0:
-                group.append(Include(fid, 0, ()))
-                ib_dim[0] = ib_dim.get(0, 0) + 1
-            else:
-                corners = tuple(
-                    sorted(new_id_of_face[Face(s, z, 0)] for z in face_vertices(f))
-                )
-                group.append(Include(fid, f.dim, corners))
-                ib_dim[f.dim] = ib_dim.get(f.dim, 0) + 1
-        check_guard(len(new_faces))
+                corners = sorted(new_id_of_face[Face(s, z, 0)] for z in face_vertices(f))
+                group.append(Include(next_id, f.dim, tuple(corners)))
+            next_id += 1
 
-        if mode == "simplicial" and k >= 1 and new_faces:
-            # a flag is new iff its top face is new (images are closed
-            # under subfaces); price the whole batch before enumerating
-            projected = sum(chain_count(k + 1, F.dim) - 1 for F in new_faces)
-            check_guard(projected)
+        if flag_len > 1:
             by_r: Dict[int, List[Tuple[int, ...]]] = {}
             for F in new_faces:
-                for c in _chains_ending(F, k + 1):
+                for c in _chains_ending(F, flag_len):
                     ids = tuple(sorted(new_id_of_face[x] for x in c))
                     by_r.setdefault(len(c) - 1, []).append(ids)
             for r in sorted(by_r):
                 for ids in sorted(by_r[r]):
-                    group.append(Include(fresh_id(), r, ids))
-                    ib_dim[r] = ib_dim.get(r, 0) + 1
+                    group.append(Include(next_id, r, ids))
+                    next_id += 1
 
-        n_contr = sum(1 for e in group if isinstance(e, Contract))
         if group:
             events.append(Scale(frame.alpha))
             events.extend(group)
+        new_active = sum(U.is_active(f) for f in new_faces)
         audit.scales.append(
-            ScaleAudit(s, frame.alpha, frame, V, U, dict(new_id_of_face), new_active,
-                       new_secondary, ib_dim, n_contr)
+            ScaleAudit(s, frame.alpha, U, new_id_of_face, new_active, len(new_faces) - new_active,
+                       Counter(e.dim for e in group[n_contr:]), n_contr)
         )
-        if mode == "cubical":
-            id_of_face = {f: i for f, i in new_id_of_face.items() if f.dim == 0}
-        else:
-            id_of_face = new_id_of_face
-        U_prev = U
+        id_of_face = new_id_of_face
 
     stream = EventStream(P.n, d, k, metric, seed, ladder.lam, ladder.m, mode, events)
     return stream, audit
@@ -492,6 +447,11 @@ def _find(parent: Dict[int, int], x: int) -> int:
     while x in parent:
         x = parent[x]
     return x
+
+
+def _resolve_cells(raw, parent: Dict[int, int]) -> Set[frozenset]:
+    """Included vertex tuples as sets of live vertex ids."""
+    return {frozenset(_find(parent, v) for v in verts) for verts in raw}
 
 
 def _walk_scales(stream: EventStream) -> Iterator[tuple]:
@@ -569,9 +529,8 @@ def replay(stream: EventStream, upto: Optional[int] = None) -> Snapshot:
         for ordinal, (alpha, parent, raw, dim_of_id) in enumerate(_walk_scales(stream)):
             if ordinal == upto:
                 break
-    cells = {frozenset(_find(parent, v) for v in verts) for verts in raw}
     live = {_find(parent, i) for i, dm in dim_of_id.items() if dm == 0}
-    return Snapshot(stream.mode, alpha, ordinal, live, cells, dict(parent))
+    return Snapshot(stream.mode, alpha, ordinal, live, _resolve_cells(raw, parent), dict(parent))
 
 
 def stirling2(n: int, r: int) -> int:

@@ -259,6 +259,7 @@ def test_stats_malformed_exit(tmp_path):
     "H 2 1 1 linf 0 1 1 simplicial\nS nan\nI 0 0\nI 1 0\n",
     "H -2 1 1 linf 0 1 1 simplicial\nS 1\nI 0 0\nI 1 0\n",
     "H 4 2 0 linf 0 1 1 cubical\nS 1\nI 0 0\nI 1 0\nI 2 -1 0 1\n",
+    "H 3 2 2 linf 0 1 1 simplicial\nS 1\nI 0 0\nI 1 0\nI 2 0\nI 3 2 0 1 2\n",
 ])
 def test_malformed_stream_values_exit(tmp_path, capsys, text):
     f = tmp_path / "bad.txt"

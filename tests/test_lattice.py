@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -236,6 +238,34 @@ def test_face_vertices_subfaces_facets_counts():
     ft = facets(f)
     assert len(ft) == 4
     assert all(g.dim == 1 for g in ft)
+
+    # against a per-direction product definition: each extent direction
+    # is kept (None) or fixed at its lower (0) or upper (1) end
+    for d in range(1, 5):
+        anchor = tuple(range(3, 3 - 2 * d, -2))
+        for mask in range(1 << d):
+            f = Face(2, anchor, mask)
+            dirs = [i for i in range(d) if mask >> i & 1]
+
+            def face_of(choice):
+                a, m = list(anchor), 0
+                for i, c in zip(dirs, choice):
+                    if c is None:
+                        m |= 1 << i
+                    else:
+                        a[i] += c
+                return Face(2, tuple(a), m)
+
+            corners = {face_of(c).anchor for c in itertools.product((0, 1), repeat=len(dirs))}
+            faces = {face_of(c) for c in itertools.product((None, 0, 1), repeat=len(dirs))}
+            assert len(face_vertices(f)) == len(corners) and set(face_vertices(f)) == corners
+            listed = list(subfaces(f))
+            assert len(listed) == len(faces) and set(listed) == faces
+            proper = list(subfaces(f, proper=True))
+            assert len(proper) == len(faces) - 1 and set(proper) == faces - {f}
+            listed = facets(f)
+            assert len(listed) == 2 * len(dirs)
+            assert set(listed) == {g for g in faces if g.dim == f.dim - 1}
 
 
 def test_subface_relation():

@@ -74,11 +74,20 @@ def test_ladder_needs_two_points():
 
 
 def test_single_point_stream():
-    stream = build_simplicial_tower(PointCloud([[0.7]]), 1, seed=5)
-    assert stream.m == 0 and stream.lam == 1.0
-    assert stream.events == [Scale(1.0), Include(0, 0, ())]
-    snap = replay(stream)
-    assert snap.n_vertices() == 1 and snap.cells == {frozenset([0])}
+    P = PointCloud([[0.7]])
+    for stream in (build_simplicial_tower(P, 1, seed=5),
+                   build_cubical_tower(P, seed=5),
+                   build_simplicial_tower(P, 1, seed=5, lam=0.25, max_scales=3),
+                   build_cubical_tower(P, seed=5, lam=0.25, max_scales=3)):
+        assert stream.m == 0 and stream.lam == 1.0
+        assert stream.events == [Scale(1.0), Include(0, 0, ())]
+        snap = replay(stream)
+        assert snap.n_vertices() == 1 and snap.cells == {frozenset([0])}
+    # the one cell counts against the guardrail like any other
+    with pytest.raises(GuardrailExceeded):
+        build_simplicial_tower(P, 1, seed=5, guard_cells=0)
+    with pytest.raises(GuardrailExceeded):
+        build_cubical_tower(P, seed=5, guard_cells=0)
 
 
 # --- stream format ---
@@ -310,6 +319,12 @@ def test_audit_totals_match_stream():
     assert len(audit.scales) == stream.m + 1
     for sc in audit.scales:
         assert sc.alpha == stream.lam * (1 << sc.s)
+    assert sum(sc.n_contractions for sc in audit.scales) == stream.counts()["C"]
+    # a cubical tower includes each new face as one cell
+    stream, audit = build_cubical_tower(P, seed=6, with_audit=True)
+    assert audit.total_inclusions == stream.counts()["I"] == \
+        audit.total_active_inclusions + audit.total_secondary_inclusions
+    assert sum(sc.n_contractions for sc in audit.scales) == stream.counts()["C"]
 
 
 def test_towers_unchanged_with_bruteforce_spanned_faces(monkeypatch):
