@@ -43,6 +43,8 @@ RUNS = [
     ("tower_d4_cubical", ["tower", "{d4}", "--mode", "cubical", "--seed", "3"]),
     ("stats_d4_cubical_points", ["stats", "{tower_d4_cubical}", "--points", "{d4}"]),
     ("tower_d4_k2", ["tower", "{d4}", "--k", "2", "--seed", "3"]),
+    ("tower_barcode_d4_k2", ["tower-barcode", "{tower_d4_k2}"]),
+    ("tower_barcode_d4_k1", ["tower-barcode", "{tower_d4_k2}", "--k", "1"]),
     ("survival_d5_k2", ["survival", "--d", "5", "--k", "2", "--trials", "300", "--seed", "4"]),
 ]
 
@@ -66,6 +68,8 @@ GOLDEN = {
     "tower_d4_cubical": (0, "e29911ca70a2b74c28757a3cd6b7ece0abe1ac66c30f56123a3883028518a96f"),
     "stats_d4_cubical_points": (0, "f335dbb8a0e11dac4c8c6db97dccc5ef7b0c84ed57242aa9dbcf90277303660e"),
     "tower_d4_k2": (0, "67417a6788cdba2c64ac4368365673cf97f5fe18f49b7fff73b3c8bd015dd49e"),
+    "tower_barcode_d4_k2": (0, "8fc551e4c5bc6a36a8b5a04c0ea71ccb2ae92f28a7f647dff3ffa31de49d80b7"),
+    "tower_barcode_d4_k1": (0, "233675edd50c2c3c1f1a437a8e819b28cf818181ecb524c32006930384a3c8b0"),
     "survival_d5_k2": (0, "46714421bea220007744ea3658b206ec819a863c993e5596cc355707efe2e0c1"),
 }
 
