@@ -21,7 +21,7 @@ from .cubical import CubicalComplex
 from .geometry import PointCloud
 from .lattice import facets
 from .tower import (EventStream, GuardrailExceeded, Include, MalformedStream, Scale, Snapshot,
-                    _find, _fmt_g17, _resolve_cells, _walk_scales)
+                    _find, _fmt_g17, _walk_scales)
 
 __all__ = [
     "Filtration",
@@ -292,16 +292,7 @@ def betti(obj) -> List[int]:
 
 
 # ---------------------------------------------------------------------------
-# tower persistence via the rank formula
-
-
-def _snapshot_complex(raw, parent, nraw):
-    by_dim: Dict[int, List[Tuple[int, ...]]] = {}
-    for c in _resolve_cells(raw[:nraw], parent):
-        by_dim.setdefault(len(c) - 1, []).append(tuple(sorted(c)))
-    for p in by_dim:
-        by_dim[p].sort()
-    return by_dim
+# tower persistence by the elder rule
 
 
 def _boundary_vector(c: Tuple[int, ...], index: Dict[Tuple[int, ...], int]) -> int:
@@ -315,113 +306,108 @@ def _boundary_vector(c: Tuple[int, ...], index: Dict[Tuple[int, ...], int]) -> i
     return vec
 
 
-def _homology_basis(by_dim, p: int):
-    """Cycle representatives spanning reduced H_p, plus the boundary pivots.
+def _cycles_and_boundaries(cells: List[Dict[Tuple[int, ...], int]], p: int):
+    """Cycles spanning the p-cycle space, plus the boundary pivots.
 
-    Vectors are bitmasks over the sorted p-simplex list. For p = 0 the
-    augmentation row makes the kernel the even vertex sets.
+    `cells[q]` maps each q-simplex to its bit. For p = 0 the
+    augmentation row makes the cycles the even vertex sets.
     """
-    p_cells = by_dim.get(p, [])
-    if not p_cells:
-        return [], {}
-    idx_p = {c: i for i, c in enumerate(p_cells)}
+    p_cells = cells[p]
     bpivots: Dict[int, int] = {}
-    for c in by_dim.get(p + 1, []):
-        _eliminate(_boundary_vector(c, idx_p), bpivots)
+    if p + 1 < len(cells):
+        for c in cells[p + 1]:
+            _eliminate(_boundary_vector(c, p_cells), bpivots)
     # kernel of the boundary going down (augmented at p = 0): a p-cell's
     # boundary sits above bit W and the combination of p-cells that
     # produced it in the low W bits, so a residual below 2^W is a cycle
     W = len(p_cells)
-    pm1_idx = {c: i for i, c in enumerate(by_dim.get(p - 1, []))}
     dpivots: Dict[int, int] = {}
-    kernel = []
-    for j, c in enumerate(p_cells):
-        vec = 1 if p == 0 else _boundary_vector(c, pm1_idx)
+    cycles = []
+    for c, j in p_cells.items():
+        vec = 1 if p == 0 else _boundary_vector(c, cells[p - 1])
         z = _eliminate((vec << W) | (1 << j), dpivots)
         if z >> W == 0:
-            kernel.append(z)
-    combined = dict(bpivots)
-    basis = [v for v in (_eliminate(z, combined) for z in kernel) if v]
-    return basis, bpivots
+            cycles.append(z)
+    return cycles, bpivots
 
 
-def _push_vector(vec: int, src_cells, dst_index, parent_next) -> int:
-    """Apply the scale-step chain map to a cycle vector."""
+def _push_vector(vec: int, step: List[Optional[int]]) -> int:
+    """Apply the scale-step chain map, given as old bit -> new bit or None."""
     out = 0
     while vec:
         bit = vec & -vec
-        cell = src_cells[bit.bit_length() - 1]
-        img = frozenset(_find(parent_next, v) for v in cell)
-        if len(img) == len(cell):
-            out ^= 1 << dst_index[tuple(sorted(img))]
+        j = step[bit.bit_length() - 1]
+        if j is not None:
+            out ^= 1 << j
         vec ^= bit
     return out
 
 
 def tower_barcode(stream: EventStream, k: Optional[int] = None) -> Barcode:
-    """Barcode of a simplicial tower stream via composite ranks.
+    """Barcode of a simplicial tower stream by the elder rule.
 
     Snapshots are taken at every scale event; intervals use the
     piecewise-constant convention [alpha_i, alpha_{j+1}), with classes
     alive at the first snapshot born at 0 (the complex is unchanged
-    below the first scale). The stream is validated as `replay` does it:
-    a cubical or malformed stream raises MalformedStream.
+    below the first scale). At each snapshot the cycles of the live
+    classes are pushed through the scale step, oldest first; an image
+    that depends on the boundaries and the older images ends its bar.
+    The stream is validated as `replay` does it, and every included
+    simplex must have its facets in the snapshot: a cubical or
+    malformed stream raises MalformedStream.
     """
     if stream.mode != "simplicial":
         raise MalformedStream("tower persistence needs a simplicial stream")
     if k is None:
         k = stream.k
+    if k < 0:
+        raise ValueError("k must be >= 0")
     k = min(k, stream.k)
-    alphas: List[float] = []
-    parents: List[Dict[int, int]] = []
-    sizes: List[int] = []
-    for alpha, parent, raw, _ in _walk_scales(stream):
-        alphas.append(alpha)
-        parents.append(dict(parent))
-        sizes.append(len(raw))
-    T = len(alphas)
-    if T == 0:
-        return Barcode()
-    complexes = [_snapshot_complex(raw, parents[t], sizes[t]) for t in range(T)]
-
     out = Barcode()
-    for p in range(k + 1):
-        bases = []
-        bpiv = []
-        for t in range(T):
-            basis, piv = _homology_basis(complexes[t], p)
-            bases.append(basis)
-            bpiv.append(piv)
-        # cell indices per snapshot for pushing
-        cellidx = [{c: i for i, c in enumerate(complexes[t].get(p, []))} for t in range(T)]
-        cellsets = [[frozenset(c) for c in complexes[t].get(p, [])] for t in range(T)]
-        r = [[0] * (T + 1) for _ in range(T)]
-        for i in range(T):
-            vecs = list(bases[i])
-            r[i][i] = len(vecs)
-            for j in range(i + 1, T):
-                vecs = [_push_vector(v, cellsets[j - 1], cellidx[j], parents[j]) for v in vecs]
-                # rank of the image in H_p(X_j): the pushed cycles that
-                # stay independent modulo the boundary space
-                pivots = dict(bpiv[j])
-                r[i][j] = sum(1 for v in vecs if _eliminate(v, pivots))
-        for i in range(T):
-            for j in range(i, T):
-                a = r[i][j] - (r[i][j + 1] if j + 1 < T else 0)
-                b = 0
-                if i > 0:
-                    b = r[i - 1][j] - (r[i - 1][j + 1] if j + 1 < T else 0)
-                mult = a - b
-                if mult < 0:
-                    raise AssertionError("negative multiplicity at (%d, %d)" % (i, j))
-                if mult == 0:
-                    continue
-                birth = 0.0 if i == 0 else alphas[i]
-                death = INF if j == T - 1 else alphas[j + 1]
-                if death != INF and death <= birth:
-                    continue
-                for _ in range(mult):
-                    out.add(p, birth, death)
+    # live[p]: (birth, cycle) of every p-class alive at the last
+    # snapshot, oldest first; cells[q]: q-simplex -> bit in that snapshot
+    live: List[List[Tuple[float, int]]] = [[] for _ in range(k + 1)]
+    cells: List[Dict[Tuple[int, ...], int]] = [{} for _ in range(stream.k + 1)]
+    nraw = 0
+    for t, (alpha, parent, raw, _) in enumerate(_walk_scales(stream)):
+        contracted = parent.keys()
+        prev, cells = cells, [{} for _ in cells]
+        steps = []
+        for p, prev_p in enumerate(prev):
+            step: List[Optional[int]] = []
+            for c in prev_p:
+                # c holds roots of the last snapshot: only this group's
+                # contractions can move it
+                if not contracted.isdisjoint(c):
+                    c = tuple(sorted({_find(parent, v) for v in c}))
+                    if len(c) <= p:  # collapsed onto the image of a face
+                        step.append(None)
+                        continue
+                step.append(cells[p].setdefault(c, len(cells[p])))
+            steps.append(step)
+        for verts in raw[nraw:]:
+            c = tuple(sorted({_find(parent, v) for v in verts}))
+            here = cells[len(c) - 1]
+            if c not in here:
+                if len(c) > 1:  # raises on a facet missing from the snapshot
+                    _boundary_vector(c, cells[len(c) - 2])
+                here[c] = len(here)
+        nraw = len(raw)
+        born = 0.0 if t == 0 else alpha
+        for p in range(k + 1):
+            cycles, pivots = _cycles_and_boundaries(cells, p)
+            kept = []
+            for birth, z in live[p]:
+                z = _push_vector(z, steps[p])
+                if _eliminate(z, pivots):
+                    kept.append((birth, z))
+                elif alpha > birth:
+                    out.add(p, birth, alpha)
+            kept.extend((born, z) for z in cycles if _eliminate(z, pivots))
+            live[p] = kept
+    for p, classes in enumerate(live):
+        for birth, _ in classes:
+            out.add(p, birth, INF)
     out.sort()
     return out
 

@@ -430,13 +430,12 @@ class Snapshot:
     """Replayed state at a scale boundary."""
 
     def __init__(self, mode: str, alpha: Optional[float], scale_ordinal: int,
-                 live: Set[int], cells: Set[frozenset], find: Dict[int, int]):
+                 live: Set[int], cells: Set[frozenset]):
         self.mode = mode
         self.alpha = alpha
         self.scale_ordinal = scale_ordinal
         self.live = live
         self.cells = cells
-        self.find = find
 
     def n_vertices(self) -> int:
         return len(self.live)
@@ -447,11 +446,6 @@ def _find(parent: Dict[int, int], x: int) -> int:
     while x in parent:
         x = parent[x]
     return x
-
-
-def _resolve_cells(raw, parent: Dict[int, int]) -> Set[frozenset]:
-    """Included vertex tuples as sets of live vertex ids."""
-    return {frozenset(_find(parent, v) for v in verts) for verts in raw}
 
 
 def _walk_scales(stream: EventStream) -> Iterator[tuple]:
@@ -530,7 +524,8 @@ def replay(stream: EventStream, upto: Optional[int] = None) -> Snapshot:
             if ordinal == upto:
                 break
     live = {_find(parent, i) for i, dm in dim_of_id.items() if dm == 0}
-    return Snapshot(stream.mode, alpha, ordinal, live, _resolve_cells(raw, parent), dict(parent))
+    cells = {frozenset(_find(parent, v) for v in verts) for verts in raw}
+    return Snapshot(stream.mode, alpha, ordinal, live, cells)
 
 
 def stirling2(n: int, r: int) -> int:

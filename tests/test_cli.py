@@ -184,6 +184,15 @@ def test_tower_barcode_k_capped_by_stream(tmp_path):
     assert all(p <= 1 for p in bc.dimensions())
 
 
+def test_negative_k_exits_parse(tmp_path, capsys):
+    pts, stream = build_stream_file(tmp_path)
+    for args in (["tower", pts], ["rips-barcode", pts], ["compare", pts],
+                 ["tower-barcode", stream]):
+        assert main(args + ["--k", "-1"]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("parse error: k must be")
+
+
 def test_tower_barcode_malformed_stream(tmp_path):
     _, stream = build_stream_file(tmp_path)
     broken = tmp_path / "broken.txt"
@@ -264,8 +273,8 @@ def test_stats_malformed_exit(tmp_path):
 def test_malformed_stream_values_exit(tmp_path, capsys, text):
     f = tmp_path / "bad.txt"
     f.write_text(text)
-    for cmd in ("stats", "tower-barcode"):
-        assert main([cmd, str(f)]) == EXIT_MALFORMED
+    for args in (["stats"], ["tower-barcode"], ["tower-barcode", "--k", "0"]):
+        assert main(args[:1] + [str(f)] + args[1:]) == EXIT_MALFORMED
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("malformed stream: ")
 

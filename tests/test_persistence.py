@@ -257,10 +257,25 @@ def test_tower_barcode_caps_dimension():
     assert all(p == 0 for p in bc.dimensions())
 
 
+def test_tower_barcode_elder_rule():
+    # a vertex born at 2 joins the component born at 0 when the edge
+    # enters at 4: the younger class dies, the elder one lives on
+    head = "H 3 2 1 linf 0 1 2 simplicial\n"
+    body = "S 1\nI 0 0\nI 1 0\nS 2\nI 2 0\nS %s\nI 3 1 1 2\n"
+    for last, want in (("4", "0 0 inf\n0 2 4\n"), ("2", "0 0 inf\n")):
+        stream = EventStream.parse(head + body % last)
+        assert tower_barcode(stream).to_text() == want
+        assert coning_oracle(stream).to_text() == want
+
+
 def test_engines_agree_on_small_instances():
     for seed in range(4):
         P = random_cloud(600 + seed, 6, 2)
         for k in (0, 1):
+            stream = build_simplicial_tower(P, k, seed=seed)
+            assert tower_barcode(stream, k) == coning_oracle(stream, k)
+        P = random_cloud(620 + seed, 6, 3)
+        for k in (0, 1, 2):
             stream = build_simplicial_tower(P, k, seed=seed)
             assert tower_barcode(stream, k) == coning_oracle(stream, k)
 

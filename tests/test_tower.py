@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ripsapprox import tower
 from ripsapprox.cubical import spanned_faces_bruteforce
@@ -443,6 +445,49 @@ def test_replay_cubical_arity():
     assert frozenset([0, 1, 2, 3]) in snap.cells
     with pytest.raises(MalformedStream):
         replay(EventStream.parse(head + "S 1\nI 0 0\nI 1 0\nI 2 2 0 1\n"))
+
+
+FUZZ_BASES = [
+    build_simplicial_tower(random_cloud(80, 3, 1), 1, seed=0).to_text(),
+    build_simplicial_tower(random_cloud(81, 4, 2), 1, seed=1).to_text(),
+    build_simplicial_tower(random_cloud(82, 4, 2), 2, seed=2).to_text(),
+    build_cubical_tower(random_cloud(83, 3, 2), seed=3).to_text(),
+]
+
+
+@st.composite
+def mutated_stream(draw):
+    """A valid small stream with one line dropped, duplicated or swapped
+    with the next, or one integer field moved by a small step."""
+    lines = draw(st.sampled_from(FUZZ_BASES)).splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    kind = draw(st.sampled_from(["drop", "duplicate", "swap", "perturb"]))
+    if kind == "drop":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "swap":
+        i = min(i, len(lines) - 2)
+        lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    else:
+        parts = lines[i].split()
+        ints = [j for j, t in enumerate(parts) if t.lstrip("-").isdigit()]
+        if ints:
+            j = draw(st.sampled_from(ints))
+            step = draw(st.sampled_from([-2, -1, 1, 2]))
+            parts[j] = str(int(parts[j]) + step)
+            lines[i] = " ".join(parts)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_stream())
+def test_mutated_streams_end_in_malformed_stream_or_a_result(text):
+    for read in (replay, tower_barcode):
+        try:
+            read(EventStream.parse(text))
+        except MalformedStream:
+            pass
 
 
 # --- counting helpers ---
