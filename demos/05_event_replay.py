@@ -18,7 +18,7 @@ for i in range(n_scales):
     snap = replay(stream, upto=i)
     b = betti(snap)
     print("scale %d  alpha=%-8g cells=%-5d live vertices=%-4d reduced betti=%s"
-          % (i, snap.alpha, len(snap.cells), snap.n_vertices(), b))
+          % (i, snap.alpha, len(snap.cells), len(snap.live), b))
 
 # the final complex is one subdivided cube: connected, and with flags up to
 # length d+1 in the stream it is fully acyclic

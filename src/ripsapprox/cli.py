@@ -25,7 +25,6 @@ from .tower import (
     EventStream,
     GuardrailExceeded,
     MalformedStream,
-    _find,
     active_inclusion_bound,
     build_cubical_tower,
     build_simplicial_tower,
@@ -201,18 +200,10 @@ def _stats_checks(stream: EventStream, points_path: Optional[str]):
                        0, not any(final_betti)))
     else:
         add("cell inclusions <= n*6^d", total_includes, cubical_cell_bound(n, d))
-        # connectivity only: cells arrive as corner-id sets, enough for
-        # one-component evidence of final-scale collapse
-        parent = {}
-        verts = set()
-        for cell in snap.cells:
-            ids = sorted(cell)
-            verts.update(ids)
-            for v in ids[1:]:
-                a, b = _find(parent, ids[0]), _find(parent, v)
-                if a != b:
-                    parent[b] = a
-        comps = len({_find(parent, v) for v in verts}) if verts else 0
+        # connectivity only, from the graph of 0- and 1-cells (an edge is
+        # a 2-vertex set in both modes): evidence of final-scale collapse
+        graph_betti = betti(c for c in snap.cells if len(c) <= 2)
+        comps = graph_betti[0] + 1 if graph_betti else 0
         checks.append(("final scale connected", comps, 1, comps == 1))
 
     audit = None

@@ -21,7 +21,7 @@ from .cubical import CubicalComplex
 from .geometry import PointCloud
 from .lattice import facets
 from .tower import (EventStream, GuardrailExceeded, Include, MalformedStream, Scale, Snapshot,
-                    _find, _fmt_g17, _walk_scales)
+                    _fmt_g17, _walk_scales)
 
 __all__ = [
     "Filtration",
@@ -275,15 +275,12 @@ def betti(obj) -> List[int]:
             else:
                 cells.append((0.0, f.dim, [index[g] for g in facets(f)]))
         return _betti_from_cells(cells)
-    if isinstance(obj, SimplicialComplex):
-        simplices = obj.all_simplices()
-    elif isinstance(obj, Snapshot):
+    if isinstance(obj, Snapshot):
         if obj.mode != "simplicial":
             raise ValueError("betti of a snapshot needs a simplicial stream")
-        try:
-            return betti(tuple(c) for c in obj.cells)
-        except ValueError as e:
-            raise MalformedStream("replayed cells: %s" % e)
+        obj = obj.cells
+    if isinstance(obj, SimplicialComplex):
+        simplices = obj.all_simplices()
     else:
         simplices = [tuple(sorted(t)) for t in obj]
     simplices = sorted(set(simplices), key=lambda t: (len(t), t))
@@ -299,10 +296,7 @@ def _boundary_vector(c: Tuple[int, ...], index: Dict[Tuple[int, ...], int]) -> i
     """Bitmask of the facets of a sorted simplex, over a face index."""
     vec = 0
     for i in range(len(c)):
-        facet = c[:i] + c[i + 1:]
-        if facet not in index:
-            raise MalformedStream("simplex %r without its facet %r" % (c, facet))
-        vec ^= 1 << index[facet]
+        vec ^= 1 << index[c[:i] + c[i + 1:]]
     return vec
 
 
@@ -352,9 +346,9 @@ def tower_barcode(stream: EventStream, k: Optional[int] = None) -> Barcode:
     below the first scale). At each snapshot the cycles of the live
     classes are pushed through the scale step, oldest first; an image
     that depends on the boundaries and the older images ends its bar.
-    The stream is validated as `replay` does it, and every included
-    simplex must have its facets in the snapshot: a cubical or
-    malformed stream raises MalformedStream.
+    The snapshots come from `_walk_scales`, which validates the stream
+    as `replay` does: a cubical or malformed stream raises
+    MalformedStream.
     """
     if stream.mode != "simplicial":
         raise MalformedStream("tower persistence needs a simplicial stream")
@@ -365,34 +359,9 @@ def tower_barcode(stream: EventStream, k: Optional[int] = None) -> Barcode:
     k = min(k, stream.k)
     out = Barcode()
     # live[p]: (birth, cycle) of every p-class alive at the last
-    # snapshot, oldest first; cells[q]: q-simplex -> bit in that snapshot
+    # snapshot, oldest first
     live: List[List[Tuple[float, int]]] = [[] for _ in range(k + 1)]
-    cells: List[Dict[Tuple[int, ...], int]] = [{} for _ in range(stream.k + 1)]
-    nraw = 0
-    for t, (alpha, parent, raw, _) in enumerate(_walk_scales(stream)):
-        contracted = parent.keys()
-        prev, cells = cells, [{} for _ in cells]
-        steps = []
-        for p, prev_p in enumerate(prev):
-            step: List[Optional[int]] = []
-            for c in prev_p:
-                # c holds roots of the last snapshot: only this group's
-                # contractions can move it
-                if not contracted.isdisjoint(c):
-                    c = tuple(sorted({_find(parent, v) for v in c}))
-                    if len(c) <= p:  # collapsed onto the image of a face
-                        step.append(None)
-                        continue
-                step.append(cells[p].setdefault(c, len(cells[p])))
-            steps.append(step)
-        for verts in raw[nraw:]:
-            c = tuple(sorted({_find(parent, v) for v in verts}))
-            here = cells[len(c) - 1]
-            if c not in here:
-                if len(c) > 1:  # raises on a facet missing from the snapshot
-                    _boundary_vector(c, cells[len(c) - 2])
-                here[c] = len(here)
-        nraw = len(raw)
+    for t, (alpha, cells, steps) in enumerate(_walk_scales(stream)):
         born = 0.0 if t == 0 else alpha
         for p in range(k + 1):
             cycles, pivots = _cycles_and_boundaries(cells, p)
@@ -429,7 +398,6 @@ def coning_oracle(stream: EventStream, k: Optional[int] = None,
     added: Set[Tuple[int, ...]] = set()
     current: Set[frozenset] = set()
     alpha = None
-    first_alpha = None
 
     def add_cell(verts: Tuple[int, ...]) -> None:
         if verts in added:
@@ -441,9 +409,9 @@ def coning_oracle(stream: EventStream, k: Optional[int] = None,
 
     for e in stream.events:
         if isinstance(e, Scale):
-            alpha = e.alpha
-            if first_alpha is None:
-                first_alpha = e.alpha
+            # the complex is unchanged below the first scale: its cells
+            # are born at 0, as in tower_barcode
+            alpha = e.alpha if alpha is not None else 0.0
         elif isinstance(e, Include):
             verts = (e.id,) if e.dim == 0 else e.vertices
             add_cell(tuple(sorted(verts)))
@@ -465,8 +433,6 @@ def coning_oracle(stream: EventStream, k: Optional[int] = None,
     out = Barcode()
     for p in bc.dimensions():
         for b, d in bc.intervals(p):
-            if first_alpha is not None and b == first_alpha:
-                b = 0.0
             if d == INF or d > b:
                 out.add(p, b, d)
     out.sort()

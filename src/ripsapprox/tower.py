@@ -171,7 +171,7 @@ class EventStream:
                 if parts[0] == "S" and len(parts) == 2:
                     events.append(Scale(float(parts[1])))
                 elif parts[0] == "I" and len(parts) >= 3:
-                    events.append(Include(int(parts[1]), int(parts[2]), tuple(int(t) for t in parts[3:])))
+                    events.append(Include(int(parts[1]), int(parts[2]), tuple(map(int, parts[3:]))))
                 elif parts[0] == "C" and len(parts) == 3:
                     events.append(Contract(int(parts[1]), int(parts[2])))
                 else:
@@ -437,9 +437,6 @@ class Snapshot:
         self.live = live
         self.cells = cells
 
-    def n_vertices(self) -> int:
-        return len(self.live)
-
 
 def _find(parent: Dict[int, int], x: int) -> int:
     """Root of x in a union-find stored as a child -> parent map."""
@@ -449,22 +446,63 @@ def _find(parent: Dict[int, int], x: int) -> int:
 
 
 def _walk_scales(stream: EventStream) -> Iterator[tuple]:
-    """Validate the events and yield the state after each scale group.
+    """Validate the events and yield the complex after each scale group.
 
-    Yields (alpha, parent, raw, dim_of_id): the group's scale, the
-    contraction union-find, the vertex tuple of every inclusion so far
-    and the dimension of every included id. The containers are live and
-    keep growing; copy what must outlast the next step. Raises
-    MalformedStream on dangling ids, dead references, scales that are
-    not finite and positive or that decrease, and cells of dimension
-    outside 0..k (simplicial) or 0..d (cubical).
+    Yields (alpha, cells, steps) in fresh containers: cells[q] maps each
+    q-cell, a sorted tuple of live vertex ids, to its bit; steps[q] maps
+    each q-cell bit of the previous snapshot to its image's bit, or to
+    None when the cell collapsed (its image is kept in its lower
+    dimension). A simplicial q-cell has q + 1 vertices, a cubical one
+    2^q corners. Raises MalformedStream on dangling ids, dead
+    references, scales that are not finite and positive or that
+    decrease, cells of dimension outside 0..k (simplicial) or 0..d
+    (cubical), and simplices included without their facets; cubical
+    facets are not checked.
     """
     parent: Dict[int, int] = {}
     dim_of_id: Dict[int, int] = {}
-    raw: List[Tuple[int, ...]] = []
+    # since the last snapshot: (dim, vertices) of each inclusion, and the
+    # contracted ids
+    group: List[Tuple[int, Tuple[int, ...]]] = []
+    contracted: List[int] = []
     simplicial = stream.mode == "simplicial"
     top_dim = stream.k if simplicial else stream.d
+    cells: List[Dict[Tuple[int, ...], int]] = [{} for _ in range(top_dim + 1)]
     alpha = None
+
+    def snapshot() -> tuple:
+        nonlocal cells
+        # a vertex that is not a root now was contracted in this group
+        moved = {j: _find(parent, j) for j in contracted}
+        untouched = moved.keys().isdisjoint
+
+        def resolve(c):
+            c = tuple(sorted({moved.get(v, v) for v in c}))
+            return c, len(c) - 1 if simplicial else (len(c) - 1).bit_length()
+
+        prev, cells = cells, [{} for _ in cells]
+        steps = []
+        for p, prev_p in enumerate(prev):
+            step: List[Optional[int]] = []
+            for c in prev_p:
+                q = p
+                if not untouched(c):
+                    c, q = resolve(c)
+                bit = cells[q].setdefault(c, len(cells[q]))
+                step.append(bit if q == p else None)
+            steps.append(step)
+        for q, c in group:
+            if not untouched(c):
+                c, q = resolve(c)
+            here = cells[q]
+            if c not in here:
+                if simplicial and q and not all(c[:i] + c[i + 1:] in cells[q - 1]
+                                                for i in range(q + 1)):
+                    raise MalformedStream("simplex %r without all its facets" % (c,))
+                here[c] = len(here)
+        group.clear()
+        contracted.clear()
+        return alpha, cells, steps
 
     for e in stream.events:
         if isinstance(e, Scale):
@@ -473,7 +511,7 @@ def _walk_scales(stream: EventStream) -> Iterator[tuple]:
             if alpha is not None:
                 if e.alpha < alpha:
                     raise MalformedStream("scale values decrease at %r" % (e,))
-                yield alpha, parent, raw, dim_of_id
+                yield snapshot()
             alpha = e.alpha
             continue
         if alpha is None:
@@ -485,6 +523,7 @@ def _walk_scales(stream: EventStream) -> Iterator[tuple]:
                 if dim_of_id.get(x) != 0 or x in parent:
                     raise MalformedStream("contract of unknown or dead id: %r" % (e,))
             parent[e.j] = e.i
+            contracted.append(e.j)
         else:
             if e.id in dim_of_id:
                 raise MalformedStream("id %d included twice" % e.id)
@@ -494,7 +533,7 @@ def _walk_scales(stream: EventStream) -> Iterator[tuple]:
                 if e.vertices:
                     raise MalformedStream("0-cell with vertex list: %r" % (e,))
                 dim_of_id[e.id] = 0
-                raw.append((e.id,))
+                group.append((0, (e.id,)))
             else:
                 want = e.dim + 1 if simplicial else 1 << e.dim
                 if len(e.vertices) != want or len(set(e.vertices)) != want:
@@ -505,9 +544,9 @@ def _walk_scales(stream: EventStream) -> Iterator[tuple]:
                     if dim_of_id.get(v) != 0 or v in parent:
                         raise MalformedStream("reference to unknown or dead id: %r" % (e,))
                 dim_of_id[e.id] = e.dim
-                raw.append(e.vertices)
+                group.append((e.dim, e.vertices))
     if alpha is not None:
-        yield alpha, parent, raw, dim_of_id
+        yield snapshot()
 
 
 def replay(stream: EventStream, upto: Optional[int] = None) -> Snapshot:
@@ -517,15 +556,13 @@ def replay(stream: EventStream, upto: Optional[int] = None) -> Snapshot:
     the stream (None = the whole stream). Raises MalformedStream on
     every stream `_walk_scales` rejects.
     """
-    ordinal = -1
-    alpha, parent, raw, dim_of_id = None, {}, [], {}
+    ordinal, alpha, cells = -1, None, [{}]
     if upto is None or upto >= 0:
-        for ordinal, (alpha, parent, raw, dim_of_id) in enumerate(_walk_scales(stream)):
+        for ordinal, (alpha, cells, _) in enumerate(_walk_scales(stream)):
             if ordinal == upto:
                 break
-    live = {_find(parent, i) for i, dm in dim_of_id.items() if dm == 0}
-    cells = {frozenset(_find(parent, v) for v in verts) for verts in raw}
-    return Snapshot(stream.mode, alpha, ordinal, live, cells)
+    live = {v for (v,) in cells[0]}
+    return Snapshot(stream.mode, alpha, ordinal, live, {frozenset(c) for q in cells for c in q})
 
 
 def stirling2(n: int, r: int) -> int:

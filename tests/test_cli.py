@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from ripsapprox.cli import (
     EXIT_CHECK_FAILED,
@@ -17,7 +18,7 @@ from ripsapprox.cli import (
 from ripsapprox.persistence import Barcode
 from ripsapprox.tower import EventStream
 
-from conftest import random_cloud
+from conftest import mutated_stream, random_cloud
 
 
 def write_points(tmp_path, rows, name="pts.txt"):
@@ -277,6 +278,15 @@ def test_malformed_stream_values_exit(tmp_path, capsys, text):
         assert main(args[:1] + [str(f)] + args[1:]) == EXIT_MALFORMED
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("malformed stream: ")
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=mutated_stream())
+def test_mutated_streams_exit_cleanly(tmp_path_factory, text):
+    f = tmp_path_factory.getbasetemp() / "mutated.txt"
+    f.write_text(text)
+    for cmd in ("stats", "tower-barcode"):
+        assert main([cmd, str(f)]) in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_MALFORMED)
 
 
 # --- survival ---

@@ -268,6 +268,16 @@ def test_tower_barcode_elder_rule():
         assert coning_oracle(stream).to_text() == want
 
 
+def test_engines_agree_when_the_first_scale_repeats():
+    # vertex 2 enters at a second scale 1.0: born at 1, not with the
+    # first group's cells at 0
+    head = "H 4 2 0 linf 0 1 1 simplicial\n"
+    stream = EventStream.parse(head + "S 1.0\nI 0 0\nI 1 0\nS 1.0\nI 2 0\nS 2\nC 0 1\nC 0 2\n")
+    want = "0 0 2\n0 1 2\n"
+    assert tower_barcode(stream).to_text() == want
+    assert coning_oracle(stream).to_text() == want
+
+
 def test_engines_agree_on_small_instances():
     for seed in range(4):
         P = random_cloud(600 + seed, 6, 2)

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ripsapprox import tower
 from ripsapprox.cubical import spanned_faces_bruteforce
@@ -31,7 +30,7 @@ from ripsapprox.tower import (
 )
 from ripsapprox.persistence import tower_barcode
 
-from conftest import random_cloud
+from conftest import mutated_stream, random_cloud
 
 
 # --- scale ladder ---
@@ -84,7 +83,7 @@ def test_single_point_stream():
         assert stream.m == 0 and stream.lam == 1.0
         assert stream.events == [Scale(1.0), Include(0, 0, ())]
         snap = replay(stream)
-        assert snap.n_vertices() == 1 and snap.cells == {frozenset([0])}
+        assert len(snap.live) == 1 and snap.cells == {frozenset([0])}
     # the one cell counts against the guardrail like any other
     with pytest.raises(GuardrailExceeded):
         build_simplicial_tower(P, 1, seed=5, guard_cells=0)
@@ -430,6 +429,9 @@ def test_replay_rejects_dimension_out_of_range():
     # simplicial: 0..k with k = 1 in HEAD
     assert_rejected("S 1\nI 0 0\nI 1 0\nI 2 -1 0 1\n")
     assert_rejected("S 1\nI 0 0\nI 1 0\nI 2 0\nI 3 2 0 1 2\n")
+    # the same triangle is in range at k = 2, but its edges were never included
+    assert_rejected("S 1\nI 0 0\nI 1 0\nI 2 0\nI 3 2 0 1 2\n",
+                    "H 3 2 2 linf 0 1 1 simplicial\n")
     # cubical: 0..d with d = 2
     head = "H 4 2 0 linf 0 1 1 cubical\n"
     assert_rejected("S 1\nI 0 0\nI 1 0\nI 2 -1 0 1\n", head)
@@ -447,47 +449,23 @@ def test_replay_cubical_arity():
         replay(EventStream.parse(head + "S 1\nI 0 0\nI 1 0\nI 2 2 0 1\n"))
 
 
-FUZZ_BASES = [
-    build_simplicial_tower(random_cloud(80, 3, 1), 1, seed=0).to_text(),
-    build_simplicial_tower(random_cloud(81, 4, 2), 1, seed=1).to_text(),
-    build_simplicial_tower(random_cloud(82, 4, 2), 2, seed=2).to_text(),
-    build_cubical_tower(random_cloud(83, 3, 2), seed=3).to_text(),
-]
-
-
-@st.composite
-def mutated_stream(draw):
-    """A valid small stream with one line dropped, duplicated or swapped
-    with the next, or one integer field moved by a small step."""
-    lines = draw(st.sampled_from(FUZZ_BASES)).splitlines()
-    i = draw(st.integers(0, len(lines) - 1))
-    kind = draw(st.sampled_from(["drop", "duplicate", "swap", "perturb"]))
-    if kind == "drop":
-        del lines[i]
-    elif kind == "duplicate":
-        lines.insert(i, lines[i])
-    elif kind == "swap":
-        i = min(i, len(lines) - 2)
-        lines[i], lines[i + 1] = lines[i + 1], lines[i]
-    else:
-        parts = lines[i].split()
-        ints = [j for j, t in enumerate(parts) if t.lstrip("-").isdigit()]
-        if ints:
-            j = draw(st.sampled_from(ints))
-            step = draw(st.sampled_from([-2, -1, 1, 2]))
-            parts[j] = str(int(parts[j]) + step)
-            lines[i] = " ".join(parts)
-    return "\n".join(lines) + "\n"
-
-
 @settings(max_examples=400, deadline=None)
 @given(mutated_stream())
 def test_mutated_streams_end_in_malformed_stream_or_a_result(text):
+    try:
+        stream = EventStream.parse(text)
+    except MalformedStream:
+        return
+    accepted = []
     for read in (replay, tower_barcode):
         try:
-            read(EventStream.parse(text))
+            read(stream)
+            accepted.append(True)
         except MalformedStream:
-            pass
+            accepted.append(False)
+    if stream.mode == "simplicial":
+        # both read the stream through the same validating walk
+        assert accepted[0] == accepted[1]
 
 
 # --- counting helpers ---
