@@ -41,15 +41,6 @@ def l2_distance(p, q) -> float:
 METRICS = {"linf": linf_distance, "l2": l2_distance}
 
 
-def _metric_fn(metric):
-    if callable(metric):
-        return metric
-    try:
-        return METRICS[metric]
-    except KeyError:
-        raise ValueError("unknown metric %r (expected 'linf' or 'l2')" % (metric,))
-
-
 class PointCloud:
     """A finite set of distinct points in R^d with implicit ids 0..n-1."""
 
@@ -116,8 +107,10 @@ class PointCloud:
 
         Raises ValueError when a distance overflows float64.
         """
+        if metric not in METRICS:
+            raise ValueError("unknown metric %r (expected 'linf' or 'l2')" % (metric,))
         pts = self.points
-        linf = _metric_fn(metric) is linf_distance
+        linf = metric == "linf"
         with np.errstate(over="ignore"):
             diff = np.abs(pts[:, None, :] - pts[None, :, :])
             dist = diff.max(axis=2) if linf else np.sqrt((diff ** 2).sum(axis=2))
@@ -134,14 +127,12 @@ def closest_pair(P: PointCloud, metric="linf"):
     if P.n < 2:
         raise ValueError("closest pair needs at least 2 points")
     dm = P.pairwise_distances(metric)
-    best = (None, None, np.inf)
-    for i in range(P.n):
-        for j in range(i + 1, P.n):
-            if dm[i, j] < best[2]:
-                best = (i, j, dm[i, j])
-    if best[2] == 0.0:
+    # mask all but i < j; the row-major argmin then takes the smallest (i, j)
+    dm[np.tri(P.n, dtype=bool)] = np.inf
+    i, j = divmod(int(np.argmin(dm)), P.n)
+    if dm[i, j] == 0.0:
         raise ValueError("duplicate points: zero closest-pair distance")
-    return best[0], best[1], float(best[2])
+    return i, j, float(dm[i, j])
 
 
 def diameter(P: PointCloud, metric="linf") -> float:

@@ -17,9 +17,8 @@ import math
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .barycentric import SimplicialComplex
-from .cubical import CubicalComplex
+from .cubical import CubicalComplex, cubical_boundary
 from .geometry import PointCloud
-from .lattice import facets
 from .tower import (EventStream, GuardrailExceeded, Include, MalformedStream, Scale, Snapshot,
                     _fmt_g17, _walk_scales)
 
@@ -137,7 +136,7 @@ def rips_filtration(P: PointCloud, metric="linf", k: int = 1,
     count = sum(math.comb(n, r) for r in range(1, top + 1))
     if max_simplices is not None and count > max_simplices:
         raise GuardrailExceeded("Rips filtration needs %d simplices > %d" % (count, max_simplices))
-    dm = P.pairwise_distances(metric)
+    dm = P.pairwise_distances(metric).tolist()
     out = []
     for r in range(1, top + 1):
         for combo in itertools.combinations(range(n), r):
@@ -248,81 +247,89 @@ def reduce(filtration, homology_cap: Optional[int] = None) -> Barcode:
     return out
 
 
-def _betti_from_cells(cells) -> List[int]:
-    maxdim = max((c[1] for c in cells), default=-1)
-    if maxdim < 0:
-        return []
-    counts = [0] * (maxdim + 1)
-    for p, bj, dj in _reduce_cells(cells):
-        if dj is None:
-            counts[p] += 1
-    return counts
+# ---------------------------------------------------------------------------
+# homology of a fixed complex
+
+
+def _simplicial_columns(cells: List[Dict[Tuple[int, ...], int]], top: int) -> List[List[int]]:
+    """Boundary bitmasks of the q-simplices for q <= top, in bit order.
+
+    `cells[q]` maps each q-simplex, a sorted vertex tuple, to its bit;
+    bits follow insertion order. Raises KeyError for a missing facet.
+    """
+    columns = [[1] * len(cells[0])]  # the augmentation row
+    for q, (below, here) in enumerate(zip(cells, cells[1:top + 1]), 1):
+        # the facets of a sorted q-simplex are its sorted q-subsets
+        columns.append([sum(1 << below[f] for f in itertools.combinations(c, q)) for c in here])
+    return columns
+
+
+def _cycles_and_boundaries(columns: List[List[int]], top: int):
+    """Cycle bases and boundary pivots of a fixed complex, for q <= top.
+
+    `columns[q][j]` is the boundary of q-cell j as a bitmask over the
+    (q-1)-cells; 1, the augmentation row, for a 0-cell. Each dimension
+    takes one elimination of (boundary << W) | 2^j, W the number of
+    q-cells. A top bit stays in the boundary part while that is nonzero,
+    so the residuals without one are a basis of the q-cycles, and the
+    boundary parts of the others are the pivots that eliminating the
+    bare boundaries gives. Dimension top + 1 is eliminated bare, for its
+    boundary pivots alone. Returns (cycles, boundaries): cycles[q] lists
+    the basis, boundaries[q] maps top bit -> vector for the q-boundaries.
+    """
+    cycles: List[List[int]] = []
+    boundaries: List[Dict[int, int]] = []
+    for q, cols in enumerate(columns[:top + 2]):
+        pivots: Dict[int, int] = {}
+        if q > top:
+            for vec in cols:
+                _eliminate(vec, pivots)
+            boundaries[q - 1] = pivots
+            break
+        W = len(cols)
+        cycles.append([z for j, vec in enumerate(cols)
+                       if (z := _eliminate((vec << W) | (1 << j), pivots)) >> W == 0])
+        if q:
+            boundaries[q - 1] = {b - W: v >> W for b, v in pivots.items() if b >= W}
+        boundaries.append({})
+    return cycles, boundaries
 
 
 def betti(obj) -> List[int]:
-    """Reduced Betti numbers per dimension.
+    """Reduced Betti numbers per dimension, by cycle and boundary ranks.
 
     Accepts a CubicalComplex, an order SimplicialComplex, a replayed
     Snapshot, or any iterable of simplex vertex-tuples.
     """
     if isinstance(obj, CubicalComplex):
-        faces = obj.faces()
-        index = {f: i for i, f in enumerate(faces)}
-        cells = []
-        for f in faces:
-            if f.dim == 0:
-                cells.append((0.0, 0, []))
-            else:
-                cells.append((0.0, f.dim, [index[g] for g in facets(f)]))
-        return _betti_from_cells(cells)
-    if isinstance(obj, Snapshot):
-        if obj.mode != "simplicial":
-            raise ValueError("betti of a snapshot needs a simplicial stream")
-        obj = obj.cells
-    if isinstance(obj, SimplicialComplex):
-        simplices = obj.all_simplices()
+        columns = [[1] * len(obj.faces_of_dim(0))] if obj.dim >= 0 else []
+        for p in range(1, obj.dim + 1):
+            cols, _, _ = cubical_boundary(obj, p)
+            columns.append([sum(1 << i for i in col) for col in cols])
     else:
-        simplices = [tuple(sorted(t)) for t in obj]
-    simplices = sorted(set(simplices), key=lambda t: (len(t), t))
-    cells = _cells_from_simplices([(0.0, t) for t in simplices])
-    return _betti_from_cells(cells)
+        if isinstance(obj, Snapshot):
+            if obj.mode != "simplicial":
+                raise ValueError("betti of a snapshot needs a simplicial stream")
+            obj = obj.cells
+        if isinstance(obj, SimplicialComplex):
+            simplices = obj.all_simplices()
+        else:
+            simplices = [tuple(sorted(t)) for t in obj]
+        cells: List[Dict[Tuple[int, ...], int]] = []
+        for t in sorted(set(simplices), key=lambda t: (len(t), t)):
+            while len(cells) < len(t):
+                cells.append({})
+            cells[-1][t] = len(cells[-1])
+        try:
+            columns = _simplicial_columns(cells, len(cells) - 1) if cells else []
+        except KeyError as e:
+            raise ValueError("facet %r missing from the complex" % (e.args[0],))
+    cycles, boundaries = _cycles_and_boundaries(columns, len(columns) - 1)
+    return [len(z) - len(b) for z, b in zip(cycles, boundaries)]
 
 
 # ---------------------------------------------------------------------------
 # tower persistence by the elder rule
-
-
-def _boundary_vector(c: Tuple[int, ...], index: Dict[Tuple[int, ...], int]) -> int:
-    """Bitmask of the facets of a sorted simplex, over a face index."""
-    vec = 0
-    for i in range(len(c)):
-        vec ^= 1 << index[c[:i] + c[i + 1:]]
-    return vec
-
-
-def _cycles_and_boundaries(cells: List[Dict[Tuple[int, ...], int]], p: int):
-    """Cycles spanning the p-cycle space, plus the boundary pivots.
-
-    `cells[q]` maps each q-simplex to its bit. For p = 0 the
-    augmentation row makes the cycles the even vertex sets.
-    """
-    p_cells = cells[p]
-    bpivots: Dict[int, int] = {}
-    if p + 1 < len(cells):
-        for c in cells[p + 1]:
-            _eliminate(_boundary_vector(c, p_cells), bpivots)
-    # kernel of the boundary going down (augmented at p = 0): a p-cell's
-    # boundary sits above bit W and the combination of p-cells that
-    # produced it in the low W bits, so a residual below 2^W is a cycle
-    W = len(p_cells)
-    dpivots: Dict[int, int] = {}
-    cycles = []
-    for c, j in p_cells.items():
-        vec = 1 if p == 0 else _boundary_vector(c, cells[p - 1])
-        z = _eliminate((vec << W) | (1 << j), dpivots)
-        if z >> W == 0:
-            cycles.append(z)
-    return cycles, bpivots
 
 
 def _push_vector(vec: int, step: List[Optional[int]]) -> int:
@@ -363,8 +370,8 @@ def tower_barcode(stream: EventStream, k: Optional[int] = None) -> Barcode:
     live: List[List[Tuple[float, int]]] = [[] for _ in range(k + 1)]
     for t, (alpha, cells, steps) in enumerate(_walk_scales(stream)):
         born = 0.0 if t == 0 else alpha
-        for p in range(k + 1):
-            cycles, pivots = _cycles_and_boundaries(cells, p)
+        cycles, boundaries = _cycles_and_boundaries(_simplicial_columns(cells, k + 1), k)
+        for p, pivots in enumerate(boundaries):
             kept = []
             for birth, z in live[p]:
                 z = _push_vector(z, steps[p])
@@ -372,7 +379,7 @@ def tower_barcode(stream: EventStream, k: Optional[int] = None) -> Barcode:
                     kept.append((birth, z))
                 elif alpha > birth:
                     out.add(p, birth, alpha)
-            kept.extend((born, z) for z in cycles if _eliminate(z, pivots))
+            kept.extend((born, z) for z in cycles[p] if _eliminate(z, pivots))
             live[p] = kept
     for p, classes in enumerate(live):
         for birth, _ in classes:
@@ -388,12 +395,19 @@ def coning_oracle(stream: EventStream, k: Optional[int] = None,
     Contract(i, j) becomes the cone with apex i over the closed star of
     j, after which j's star is frozen; the growing complex then has the
     same persistence as the tower. Intended as a small-instance oracle.
+    The stream is validated by the walk `tower_barcode` reads, so a
+    malformed stream raises MalformedStream.
     """
     if stream.mode != "simplicial":
         raise MalformedStream("coning oracle needs a simplicial stream")
     if k is None:
         k = stream.k
+    if k < 0:
+        raise ValueError("k must be >= 0")
     k = min(k, stream.k)
+    # validation only: the coning below does not read the walk's snapshots
+    for _ in _walk_scales(stream):
+        pass
     filt: List[Tuple[float, Tuple[int, ...]]] = []
     added: Set[Tuple[int, ...]] = set()
     current: Set[frozenset] = set()
@@ -429,11 +443,4 @@ def coning_oracle(stream: EventStream, k: Optional[int] = None,
             for verts in cones:
                 add_cell(verts)
             current = {frozenset(i if v == j else v for v in c) for c in current}
-    bc = reduce(filt, homology_cap=k)
-    out = Barcode()
-    for p in bc.dimensions():
-        for b, d in bc.intervals(p):
-            if d == INF or d > b:
-                out.add(p, b, d)
-    out.sort()
-    return out
+    return reduce(filt, homology_cap=k)

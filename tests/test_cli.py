@@ -1,6 +1,7 @@
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,7 +198,7 @@ def test_negative_k_exits_parse(tmp_path, capsys):
 def test_tower_barcode_malformed_stream(tmp_path):
     _, stream = build_stream_file(tmp_path)
     broken = tmp_path / "broken.txt"
-    broken.write_text(open(stream).read() + "I 0 0\n")  # duplicate id
+    broken.write_text(Path(stream).read_text() + "I 0 0\n")  # duplicate id
     assert main(["tower-barcode", str(broken)]) == EXIT_MALFORMED
     garbage = tmp_path / "garbage.txt"
     garbage.write_text("not a stream\n")
@@ -246,7 +247,7 @@ def test_stats_cubical_all_pass(tmp_path, capsys):
 
 def test_stats_flags_corrupted_stream(tmp_path, capsys):
     pts, stream = build_stream_file(tmp_path, seed=8, n=2, d=1)
-    text = open(stream).read()
+    text = Path(stream).read_text()
     stream_obj = EventStream.parse(text)
     top = 2.0 * max(stream_obj.scale_values())
     next_id = 1 + max(e.id for e in stream_obj.events if hasattr(e, "id"))

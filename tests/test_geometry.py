@@ -107,6 +107,9 @@ def test_closest_pair_needs_two_points():
 def test_closest_pair_unknown_metric():
     with pytest.raises(ValueError):
         closest_pair(PointCloud([0, 1]), "l7")
+    # a callable is not a metric name: it must not fall back to L2
+    with pytest.raises(ValueError):
+        closest_pair(PointCloud([[0, 0], [3, 4], [10, 0]]), lambda p, q: abs(p - q).sum())
 
 
 def test_diameter_values():

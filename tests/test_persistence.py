@@ -1,12 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ripsapprox.barycentric import build_order_complex
 from ripsapprox.cubical import CubicalComplex, closure
 from ripsapprox.geometry import PointCloud
-from ripsapprox.lattice import Face
+from ripsapprox.lattice import Face, facets
 from ripsapprox.persistence import (
     Barcode,
     Filtration,
@@ -226,6 +229,47 @@ def test_betti_snapshot_paths():
         betti(replay(cstream))
 
 
+def _essential_counts(cells, top):
+    counts = [0] * (top + 1)
+    for p, _, dj in _reduce_cells(cells):
+        if dj is None:
+            counts[p] += 1
+    return counts
+
+
+def _check_euler(b, sizes):
+    # reduced Euler characteristic: the dummy (-1)-cell counts once
+    assert sum((-1) ** q * x for q, x in enumerate(b)) == \
+        sum((-1) ** q * x for q, x in enumerate(sizes)) - 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=4, unique=True),
+                min_size=1, max_size=8))
+def test_betti_ranks_match_the_filtration_reducer_simplicial(tops):
+    closed = {tuple(sorted(sub)) for t in tops for r in range(1, len(t) + 1)
+              for sub in itertools.combinations(t, r)}
+    simplices = sorted(closed, key=lambda t: (len(t), t))
+    top = len(simplices[-1]) - 1
+    b = betti(reversed(simplices))
+    assert b == _essential_counts(_cells_from_simplices([(0.0, t) for t in simplices]), top)
+    _check_euler(b, [sum(len(t) == q + 1 for t in simplices) for q in range(top + 1)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda d: st.lists(
+    st.tuples(st.tuples(*[st.integers(0, 2)] * d), st.integers(0, 2 ** d - 1)),
+    min_size=1, max_size=8)))
+def test_betti_ranks_match_the_filtration_reducer_cubical(cubes):
+    U = closure({Face(0, anchor, mask) for anchor, mask in cubes})
+    faces = U.faces()
+    index = {f: i for i, f in enumerate(faces)}
+    cells = [(0.0, f.dim, [index[g] for g in facets(f)]) for f in faces]
+    b = betti(U)
+    assert b == _essential_counts(cells, U.dim)
+    _check_euler(b, [len(U.faces_of_dim(q)) for q in range(U.dim + 1)])
+
+
 # --- tower barcodes ---
 
 
@@ -287,7 +331,9 @@ def test_engines_agree_on_small_instances():
         P = random_cloud(620 + seed, 6, 3)
         for k in (0, 1, 2):
             stream = build_simplicial_tower(P, k, seed=seed)
-            assert tower_barcode(stream, k) == coning_oracle(stream, k)
+            # a cap below the stream's k reads the boundaries of dimension cap + 1
+            for cap in range(k + 1):
+                assert tower_barcode(stream, cap) == coning_oracle(stream, cap)
 
 
 # --- coning oracle ---
@@ -334,3 +380,15 @@ def test_coning_rejects_cubical_stream():
     stream = build_cubical_tower(P, seed=0)
     with pytest.raises(MalformedStream):
         coning_oracle(stream)
+
+
+def test_coning_validates_the_stream_and_k():
+    # the scales decrease: both engines reject the stream
+    stream = EventStream.parse("H 2 1 0 linf 0 1 1 simplicial\nS 2\nI 0 0\nS 1\nI 1 0\n")
+    for engine in (tower_barcode, coning_oracle):
+        with pytest.raises(MalformedStream):
+            engine(stream)
+    good = build_simplicial_tower(random_cloud(18, 4, 2), 1, seed=0)
+    for engine in (tower_barcode, coning_oracle):
+        with pytest.raises(ValueError, match="k must be"):
+            engine(good, -1)
