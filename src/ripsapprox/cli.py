@@ -244,6 +244,7 @@ def cmd_stats(args) -> int:
 
 def cmd_survival(args) -> int:
     seed = _resolve_seed(args)
+    _guard(d=args.d)
     hist = survival_experiment(args.d, args.k, args.trials, seed)
     trials = sum(hist.values())
     mean = sum(y * c for y, c in hist.items()) / trials

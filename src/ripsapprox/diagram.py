@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 INF = math.inf
+REL_SLACK = 1e-9
 
 Interval = Tuple[float, float]
 
@@ -150,15 +151,14 @@ class Certificate(NamedTuple):
     per_dim: Dict[int, float]
 
 
-def certify_approximation(bc_approx: Barcode, bc_exact: Barcode, c_claim: float,
-                          rel_slack: float = 1e-9) -> Certificate:
+def certify_approximation(bc_approx: Barcode, bc_exact: Barcode, c_claim: float) -> Certificate:
     """Check that the barcodes are within multiplicative factor c_claim.
 
-    A tiny relative slack absorbs float noise in the interval endpoints;
-    the distance itself is computed exactly on the given values.
+    REL_SLACK absorbs float noise in the interval endpoints; the distance
+    itself is computed exactly on the given values.
     """
     dims = sorted(set(bc_approx.dimensions()) | set(bc_exact.dimensions()))
     per = {q: _bottleneck_lists(bc_approx.intervals(q), bc_exact.intervals(q)) for q in dims}
     achieved = max(per.values(), default=1.0)
-    passed = achieved <= c_claim * (1.0 + rel_slack)
+    passed = achieved <= c_claim * (1.0 + REL_SLACK)
     return Certificate(passed, c_claim, achieved, per)

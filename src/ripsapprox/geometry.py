@@ -137,8 +137,6 @@ def closest_pair(P: PointCloud, metric="linf"):
 
 def diameter(P: PointCloud, metric="linf") -> float:
     """Maximum pairwise distance; 0 for a single point."""
-    if P.n == 1:
-        return 0.0
     return float(P.pairwise_distances(metric).max())
 
 

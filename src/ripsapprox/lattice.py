@@ -10,6 +10,7 @@ floating-point ties everywhere except point location.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 __all__ = [
@@ -103,7 +104,7 @@ class GridFrame(NamedTuple):
 
     @property
     def alpha(self) -> float:
-        return self.lam * (1 << self.s)
+        return math.ldexp(self.lam, self.s)
 
     @property
     def u(self) -> float:
@@ -151,8 +152,8 @@ class Face(NamedTuple):
 
 def build_frames(lam: float, m: int, d: int, shifts: ShiftSequence) -> List[GridFrame]:
     """Frames for scales 0..m; offset_0 = 0, offset_{s+1} = offset_s + 2^s*eps_s."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError("lambda must be finite and positive, got %r" % (lam,))
     if m < 0:
         raise ValueError("m must be >= 0")
     if not (1 <= d <= MAX_DIM):

@@ -28,7 +28,6 @@ from .geometry import PointCloud, closest_pair, diameter
 from .lattice import (
     MAX_DIM,
     Face,
-    GridFrame,
     GridVertex,
     ShiftSequence,
     _face_image,
@@ -196,7 +195,7 @@ class ScaleLadder:
     m: int
 
     def alpha(self, s: int) -> float:
-        return self.lam * (1 << s)
+        return math.ldexp(self.lam, s)
 
     @property
     def alphas(self) -> List[float]:
@@ -207,38 +206,40 @@ def relevant_scales(P: PointCloud) -> ScaleLadder:
     """lambda = closest-pair(Linf)/(3d); m minimal with lambda*2^m >= diam."""
     if P.n < 2:
         raise ValueError("need n >= 2 for a scale ladder")
-    _, _, cp = closest_pair(P, "linf")
-    diam = diameter(P, "linf")
-    d = P.d
-    lam = cp / (3.0 * d)
-    # lambda*2^m >= diam, tested as cp*2^m >= 3d*diam so the power of two
-    # scales an exact float
-    m = 0
-    rhs = 3.0 * d * diam
-    while cp * (1 << m) < rhs:
-        m += 1
-    return ScaleLadder(lam, m)
+    return _ladder_for(P, None, None)
 
 
-def _ladder_for(P: PointCloud, lam_override, max_scales) -> ScaleLadder:
+def _ladder_for(P: PointCloud, lam, max_scales) -> ScaleLadder:
+    """The ladder from lam (default closest-pair(Linf)/(3d); 1.0 for one
+    point): m least >= 0 with lam*2^m >= diam, then capped at max_scales.
+
+    lam is doubled in floating point, which is exact, so a stored lam
+    re-derives the same m. Raises ValueError when lam is not finite and
+    positive, or when the top scale or a coordinate in grid units
+    (x / (lam/2)) overflows float64.
+    """
     if P.n == 1:
-        # no closest pair exists; use a unit ladder with a single scale
-        return ScaleLadder(1.0, 0)
-    if lam_override is not None:
-        if lam_override <= 0:
-            raise ValueError("lambda override must be positive")
-        diam = diameter(P, "linf")
-        m = 0
-        while lam_override * (1 << m) < diam:
-            m += 1
-        ladder = ScaleLadder(lam_override, m)
-    else:
-        ladder = relevant_scales(P)
+        lam = 1.0
+    elif lam is None:
+        lam = closest_pair(P, "linf")[2] / (3.0 * P.d)
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError("lambda must be finite and positive, got %r" % (lam,))
+    diam = diameter(P, "linf")
+    top, m = lam, 0
+    while top < diam:
+        top *= 2.0
+        m += 1
+    if not math.isfinite(top):
+        raise ValueError("top scale lambda*2^%d overflows float64 (lambda=%r)" % (m, lam))
+    u = lam / 2.0  # the grid unit; locate divides every coordinate by it
+    if u == 0.0 or not math.isfinite(float(abs(P.points).max()) / u):
+        raise ValueError("coordinates overflow float64 in grid units of lambda/2 (lambda=%r)"
+                         % (lam,))
     if max_scales is not None:
         if max_scales < 0:
             raise ValueError("max_scales must be >= 0")
-        ladder = ScaleLadder(ladder.lam, min(ladder.m, max_scales))
-    return ladder
+        m = min(m, max_scales)
+    return ScaleLadder(lam, m)
 
 
 @dataclass
@@ -257,9 +258,6 @@ class ScaleAudit:
 
 @dataclass
 class TowerAudit:
-    mode: str
-    ladder: ScaleLadder
-    frames: List[GridFrame]
     scales: List[ScaleAudit] = field(default_factory=list)
 
     @property
@@ -329,7 +327,7 @@ def _build_tower(P: PointCloud, k: int, seed: int, metric: str, mode: str,
     d = P.d
     shifts = ShiftSequence(seed, d)
     frames = build_frames(ladder.lam, ladder.m, d, shifts)
-    audit = TowerAudit(mode, ladder, frames)
+    audit = TowerAudit()
     # flags are strict subface chains of at most flag_len faces; a
     # cubical tower emits the faces alone
     flag_len = k + 1 if simplicial else 1

@@ -245,6 +245,19 @@ def test_stats_cubical_all_pass(tmp_path, capsys):
     assert "cell inclusions" in report and "result: PASS" in report
 
 
+def test_stats_rebuilds_ladder_boundary(tmp_path, capsys):
+    # lambda*2^5 equals diam here while cp*2^5 falls below the rounded
+    # 3*d*diam: the derived and the --lambda ladder must both stop at m = 5
+    pts = write_points(tmp_path, [[0.0, 0.0], [0.8897544426872198, 0.0],
+                                  [4.745357027665173, 0.0]])
+    stream = tmp_path / "stream.txt"
+    assert main(["tower", pts, "--k", "1", "--out", str(stream)]) == EXIT_OK
+    assert EventStream.parse(stream.read_text()).m == 5
+    capsys.readouterr()
+    assert main(["stats", str(stream), "--points", pts]) == EXIT_OK
+    assert "result: PASS" in capsys.readouterr().out
+
+
 def test_stats_flags_corrupted_stream(tmp_path, capsys):
     pts, stream = build_stream_file(tmp_path, seed=8, n=2, d=1)
     text = Path(stream).read_text()
@@ -304,6 +317,8 @@ def test_survival_command(tmp_path, capsys):
     assert main(["survival", "--trials", "200", "--seed", "5", "--out", str(b)]) == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
 
+    assert main(["survival", "--d", "33", "--k", "2", "--trials", "10"]) == EXIT_GUARDRAIL
+
 
 def test_coordinate_overflow_exit(tmp_path, capsys):
     pts = write_points(tmp_path, [[1e308, 1e308], [-1e308, -1e308], [0.0, 1.0]])
@@ -314,6 +329,47 @@ def test_coordinate_overflow_exit(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "parse error: distance overflow: coordinates too far apart for float64\n"
+
+
+@pytest.mark.parametrize("rows, extra", [
+    ([[0.0, 0.0], [1.0, 0.0]], ["--lambda", "inf"]),
+    ([[0.0, 0.0], [1.0, 0.0]], ["--lambda", "nan"]),
+    ([[0.0, 0.0], [1.0, 0.0]], ["--lambda", "1e-320"]),  # coordinates overflow lambda/2 units
+    ([[0.0, 0.0], [1.0, 0.0]], ["--lambda", "5e-324"]),  # lambda/2 rounds to 0
+    ([[0.0], [1e-300], [1e300]], []),
+    ([[0.0], [5e-324], [1.0]], []),  # cp/(3d) rounds to 0
+    ([[0.0], [1.7e308]], []),  # lambda*2^m overflows before it covers diam
+    ([[1.5e308]], []),
+], ids=["lambda-inf", "lambda-nan", "lambda-1e-320", "lambda-5e-324", "spread-1e600",
+        "cp-subnormal", "top-overflow", "single-1.5e308"])
+def test_extreme_ladder_exit(tmp_path, capsys, rows, extra):
+    pts = write_points(tmp_path, rows)
+    assert main(["tower", pts] + extra) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("parse error: ")
+
+
+def test_extreme_ladder_header_exit(tmp_path, capsys):
+    pts = write_points(tmp_path, [[0.0, 0.0], [1.0, 0.0]])
+    stream = tmp_path / "stream.txt"
+    stream.write_text("H 2 2 1 linf 0 1e-320 1 simplicial\nS 1e-320\nI 0 0\nI 1 0\n")
+    assert main(["stats", str(stream), "--points", pts]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and captured.err.startswith("parse error: ")
+
+
+def test_ladder_past_two_to_the_1023(tmp_path, capsys):
+    # lambda*2^1024 = 3 covers diam 2 while 2^1024 itself overflows float64
+    pts = write_points(tmp_path, [[-1.0], [1.0]])
+    out = tmp_path / "stream.txt"
+    lam = "%.17g" % (1.5 * 2.0 ** -1023)
+    for mode in ("simplicial", "cubical"):
+        assert main(["tower", pts, "--lambda", lam, "--mode", mode, "--out", str(out)]) == EXIT_OK
+        stream = EventStream.parse(out.read_text())
+        assert stream.m == 1024 and max(stream.scale_values()) == 3.0
+        assert main(["stats", str(out), "--points", pts]) == EXIT_OK
+    capsys.readouterr()
 
 
 # --- plumbing ---

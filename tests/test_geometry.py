@@ -115,6 +115,9 @@ def test_closest_pair_unknown_metric():
 def test_diameter_values():
     assert diameter(PointCloud([0, 1, 3]), "linf") == 3.0
     assert diameter(PointCloud([[0.5, 0.5]]), "linf") == 0.0
+    # one point still names a metric, and an unknown one is rejected
+    with pytest.raises(ValueError):
+        diameter(PointCloud([[0.5]]), "l7")
     square = PointCloud([[0, 0], [1, 0], [0, 1], [1, 1]])
     assert diameter(square, "linf") == 1.0
     assert diameter(square, "l2") == pytest.approx(math.sqrt(2))

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -88,8 +89,9 @@ def test_frame_geometry():
 
 def test_build_frames_validation():
     sh = ShiftSequence(0, 2)
-    with pytest.raises(ValueError):
-        build_frames(0.0, 1, 2, sh)
+    for lam in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            build_frames(lam, 1, 2, sh)
     with pytest.raises(ValueError):
         build_frames(1.0, -1, 2, sh)
     with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from ripsapprox.tower import (
     Include,
     MalformedStream,
     Scale,
+    ScaleLadder,
     active_inclusion_bound,
     build_cubical_tower,
     build_simplicial_tower,
@@ -58,12 +59,32 @@ def test_ladder_two_points_general_d():
 
 
 def test_ladder_covers_diameter():
+    rng = np.random.default_rng(0)
     for seed in range(10):
         P = random_cloud(seed, 7, 2)
-        lad = relevant_scales(P)
-        assert lad.alpha(lad.m) >= diameter(P, "linf")
-        if lad.m > 0:
-            assert lad.alpha(lad.m - 1) < diameter(P, "linf")
+        stream = build_simplicial_tower(P, 0, seed, lam=float(rng.uniform(1e-3, 20.0)))
+        for lad in (relevant_scales(P), ScaleLadder(stream.lam, stream.m)):
+            assert lad.alpha(lad.m) >= diameter(P, "linf")
+            if lad.m > 0:
+                assert lad.alpha(lad.m - 1) < diameter(P, "linf")
+
+
+def test_ladder_boundary_rebuild():
+    # 3-point collinear clouds whose diameter sits on lambda*2^j or one of
+    # its float neighbours; the stored lambda must re-derive the same m
+    rng = np.random.default_rng(8)
+    for d in (1, 2, 3):
+        for _ in range(12):
+            a = float(rng.uniform(0.1, 10.0))
+            j = int(rng.integers(5, 10))  # 2^j > 6d keeps cp = a
+            edge = a / (3.0 * d) * 2.0 ** j
+            for diam in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)):
+                pts = np.zeros((3, d))
+                pts[1, 0], pts[2, 0] = a, diam
+                s = build_simplicial_tower(PointCloud(pts), 1, seed=j)
+                again = build_simplicial_tower(PointCloud(pts), 1, seed=j, lam=s.lam,
+                                               max_scales=s.m)
+                assert again == s, (d, a, diam)
 
 
 def test_ladder_needs_two_points():
