@@ -3,7 +3,6 @@ import numpy as np
 
 from ripsapprox.lattice import (
     Face,
-    GridVertex,
     ShiftSequence,
     build_frames,
     face_map_g,
@@ -18,16 +17,16 @@ frames = build_frames(1.0, m, d, shifts)
 print("per-scale half-step shifts:", [shifts.signs(s) for s in range(m)])
 print("alphas:", [fr.alpha for fr in frames])
 
-# each point snaps to the grid vertex whose half-open cell contains it
+# each point snaps to the grid vertex, a 0-face, whose half-open cell contains it
 p = (0.3, -2.6)
 for s in range(3):
-    z = locate(frames[s], p)
-    print("scale %d: %s -> z=%s  world=%s" % (s, p, z.z, frames[s].world(z.z)))
+    v = locate(frames[s], p)
+    print("scale %d: %s -> z=%s  world=%s" % (s, p, v.anchor, frames[s].world(v.anchor)))
 
 # the vertex map moves every coordinate by exactly half the coarse spacing
 v = locate(frames[0], p)
 w = vertex_map_g(frames, 0, v)
-move = np.subtract(frames[1].world_u(w.z), frames[0].world_u(v.z))
+move = np.subtract(frames[1].world_u(w.anchor), frames[0].world_u(v.anchor))
 print("map to next scale moves", move, "in half-lambda units (=2^s each way)")
 
 # edges aligned with the shift direction collapse, the others survive

@@ -94,12 +94,11 @@ def build_order_complex(U: CubicalComplex, k: int) -> SimplicialComplex:
         raise ValueError("k must be >= 0")
     faces = U.faces()
     id_of = {f: i for i, f in enumerate(faces)}
+    # g runs in canonical order, so every supers list comes out sorted
     supers: Dict[Face, List[Face]] = {f: [] for f in faces}
     for g in faces:
         for f in subfaces(g, proper=True):
             supers[f].append(g)
-    for f in supers:
-        supers[f].sort(key=lambda g: (g.dim, g.anchor, g.mask))
 
     simplices: Dict[int, List[Tuple[int, ...]]] = {0: [(i,) for i in range(len(faces))]}
     chains = [(f,) for f in faces]

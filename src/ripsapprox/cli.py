@@ -18,7 +18,7 @@ import sys
 from typing import Dict, List, Optional
 
 from .diagram import certify_approximation
-from .geometry import PointCloud
+from .geometry import METRICS, PointCloud
 from .lattice import MAX_DIM
 from .persistence import Barcode, betti, reduce as reduce_filtration, rips_filtration, tower_barcode
 from .tower import (
@@ -106,6 +106,8 @@ def cmd_tower(args) -> int:
     P = _load_points(args.points)
     seed = _resolve_seed(args)
     _guard(n=P.n, d=P.d, k=args.k)
+    if args.k < 0:
+        raise ValueError("k must be >= 0")
     if args.mode == "cubical":
         stream = build_cubical_tower(P, seed, metric=args.metric, lam=args.lam,
                                      max_scales=args.max_scales, guard_cells=args.guard_cells)
@@ -279,7 +281,7 @@ def cmd_survival(args) -> int:
 
 
 def _add_common(sp, seeded=True, modal=False, ladder=False):
-    sp.add_argument("--metric", choices=("linf", "l2"), default="linf")
+    sp.add_argument("--metric", choices=METRICS, default="linf")
     sp.add_argument("--k", type=int, default=1)
     if seeded:
         sp.add_argument("--seed", type=int, default=None,

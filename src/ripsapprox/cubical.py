@@ -1,6 +1,7 @@
 """Active/secondary faces of a grid and the cubical complexes they span.
 
-A grid vertex is active when at least one input point falls in its cell.
+A grid vertex, the 0-face Face(s, z, 0), is active when at least one
+input point falls in its cell.
 A face is spanned (active) when its active vertices are nonempty and not
 contained in any facet, i.e. every extent direction sees two active
 vertices that differ there. Secondary faces are the remaining faces of
@@ -10,14 +11,13 @@ at that scale.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Set
 
 from .geometry import PointCloud
 from .lattice import (
     MAX_DIM,
     Face,
     GridFrame,
-    GridVertex,
     face_vertices,
     facets,
     locate,
@@ -41,19 +41,17 @@ SECONDARY = "secondary"
 
 
 class ActiveVertexMap:
-    """Grid vertex -> sorted list of point ids located in its cell."""
+    """Grid vertex (0-face) -> sorted list of point ids located in its cell."""
 
-    def __init__(self, s: int, mapping: Dict[Tuple[int, ...], List[int]]):
+    def __init__(self, s: int, mapping: Dict[Face, List[int]]):
         self.s = s
-        self.mapping = {z: sorted(ids) for z, ids in mapping.items()}
-        for z, ids in self.mapping.items():
+        self.mapping = {v: sorted(ids) for v, ids in mapping.items()}
+        for v, ids in self.mapping.items():
             if not ids:
-                raise ValueError("active vertex %r with no points" % (z,))
+                raise ValueError("active vertex %r with no points" % (v,))
 
-    def __contains__(self, z) -> bool:
-        if isinstance(z, GridVertex):
-            z = z.z
-        return tuple(z) in self.mapping
+    def __contains__(self, v: Face) -> bool:
+        return v in self.mapping
 
     def __len__(self) -> int:
         return len(self.mapping)
@@ -64,26 +62,19 @@ class ActiveVertexMap:
     def items(self):
         return self.mapping.items()
 
-    def points_of(self, z) -> List[int]:
-        if isinstance(z, GridVertex):
-            z = z.z
-        return self.mapping[tuple(z)]
+    def points_of(self, v: Face) -> List[int]:
+        return self.mapping[v]
 
-    def section(self, z) -> int:
+    def section(self, v: Face) -> int:
         """The representative point of an active vertex (minimum id)."""
-        return self.points_of(z)[0]
+        return self.points_of(v)[0]
 
 
 def active_vertices(frame: GridFrame, P: PointCloud) -> ActiveVertexMap:
-    mapping: Dict[Tuple[int, ...], List[int]] = {}
+    mapping: Dict[Face, List[int]] = {}
     for pid in range(P.n):
-        z = locate(frame, P.points[pid]).z
-        mapping.setdefault(z, []).append(pid)
+        mapping.setdefault(locate(frame, P.points[pid]), []).append(pid)
     return ActiveVertexMap(frame.s, mapping)
-
-
-def _vertex_trace(f: Face, V: ActiveVertexMap) -> List[Tuple[int, ...]]:
-    return [z for z in face_vertices(f) if z in V]
 
 
 def is_spanned(f: Face, V: ActiveVertexMap) -> bool:
@@ -92,7 +83,7 @@ def is_spanned(f: Face, V: ActiveVertexMap) -> bool:
     Equivalently: for every extent direction some two active vertices of
     f differ there. A vertex (empty mask) is spanned iff active.
     """
-    trace = _vertex_trace(f, V)
+    trace = [v.anchor for v in face_vertices(f) if v in V]
     if not trace:
         return False
     for i in range(f.d):
@@ -102,17 +93,17 @@ def is_spanned(f: Face, V: ActiveVertexMap) -> bool:
     return True
 
 
-def incident_faces(s: int, z: Tuple[int, ...], directions: Iterable[int]) -> Iterable[Face]:
-    """Faces incident to vertex z whose mask lies inside `directions`.
+def incident_faces(v: Face, directions: Iterable[int]) -> Iterable[Face]:
+    """Faces incident to the vertex v whose mask lies inside `directions`.
 
-    Per allowed direction the face either skips it or extends from z or
-    from z-1; with all d directions this enumerates the full 3^d star.
+    Per allowed direction the face either skips it or extends from v or
+    from v-1; with all d directions this enumerates the full 3^d star.
     """
     dirs = list(directions)
 
     def rec(idx, anchor, mask):
         if idx == len(dirs):
-            yield Face(s, tuple(anchor), mask)
+            yield Face(v.s, tuple(anchor), mask)
             return
         i = dirs[idx]
         yield from rec(idx + 1, anchor, mask)
@@ -122,7 +113,7 @@ def incident_faces(s: int, z: Tuple[int, ...], directions: Iterable[int]) -> Ite
         a3[i] -= 1
         yield from rec(idx + 1, a3, mask | (1 << i))
 
-    yield from rec(0, list(z), 0)
+    yield from rec(0, list(v.anchor), 0)
 
 
 def spanned_faces(frame: GridFrame, V: ActiveVertexMap) -> Set[Face]:
@@ -145,16 +136,16 @@ def spanned_faces(frame: GridFrame, V: ActiveVertexMap) -> Set[Face]:
     if frame.d > MAX_DIM:
         raise ValueError("d > %d unsupported" % MAX_DIM)
     trie: dict = {}
-    for z in V:
+    for v in V:
         node = trie
-        for x in z:
+        for x in v.anchor:
             node = node.setdefault(x, {})
     s = frame.s
     out: Set[Face] = set()
     for v in V:
         near = [(trie, 0, 0)]
         bit = 1
-        for x in v:
+        for x in v.anchor:
             step = []
             for node, plus, minus in near:
                 for y, p, m in ((x - 1, 0, bit), (x, 0, 0), (x + 1, bit, 0)):
@@ -168,7 +159,7 @@ def spanned_faces(frame: GridFrame, V: ActiveVertexMap) -> Set[Face]:
             if plus | minus:
                 boxes |= {(P | plus, N | minus) for P, N in boxes if not (P | plus) & (N | minus)}
         for P, N in boxes:
-            out.add(Face(s, tuple([x - (N >> i & 1) for i, x in enumerate(v)]), P | N))
+            out.add(Face(s, tuple([x - (N >> i & 1) for i, x in enumerate(v.anchor)]), P | N))
     return out
 
 
@@ -176,7 +167,7 @@ def spanned_faces_bruteforce(frame: GridFrame, V: ActiveVertexMap) -> Set[Face]:
     """Unpruned reference: full 3^d star of every active vertex."""
     out: Set[Face] = set()
     for v in V:
-        for f in incident_faces(frame.s, v, range(frame.d)):
+        for f in incident_faces(v, range(frame.d)):
             if is_spanned(f, V):
                 out.add(f)
     return out

@@ -135,13 +135,17 @@ def _bottleneck_lists(A: List[Interval], B: List[Interval]) -> float:
     return cands[lo]
 
 
+def _per_dim(bc1: Barcode, bc2: Barcode) -> Dict[int, float]:
+    """Bottleneck distance per homology dimension present in either barcode."""
+    dims = sorted(set(bc1.dimensions()) | set(bc2.dimensions()))
+    return {q: _bottleneck_lists(bc1.intervals(q), bc2.intervals(q)) for q in dims}
+
+
 def multiplicative_bottleneck(bc1: Barcode, bc2: Barcode, p: Optional[int] = None) -> float:
     """Bottleneck over one homology dimension, or the max over all."""
     if p is not None:
         return _bottleneck_lists(bc1.intervals(p), bc2.intervals(p))
-    dims = set(bc1.dimensions()) | set(bc2.dimensions())
-    return max((_bottleneck_lists(bc1.intervals(q), bc2.intervals(q)) for q in sorted(dims)),
-               default=1.0)
+    return max(_per_dim(bc1, bc2).values(), default=1.0)
 
 
 class Certificate(NamedTuple):
@@ -157,8 +161,7 @@ def certify_approximation(bc_approx: Barcode, bc_exact: Barcode, c_claim: float)
     REL_SLACK absorbs float noise in the interval endpoints; the distance
     itself is computed exactly on the given values.
     """
-    dims = sorted(set(bc_approx.dimensions()) | set(bc_exact.dimensions()))
-    per = {q: _bottleneck_lists(bc_approx.intervals(q), bc_exact.intervals(q)) for q in dims}
+    per = _per_dim(bc_approx, bc_exact)
     achieved = max(per.values(), default=1.0)
     passed = achieved <= c_claim * (1.0 + REL_SLACK)
     return Certificate(passed, c_claim, achieved, per)

@@ -20,25 +20,39 @@ __all__ = [
 ]
 
 
-def linf_distance(p, q) -> float:
-    """Chebyshev distance: max coordinate difference."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+METRICS = ("linf", "l2")
+
+
+def _distance(p, q, metric: str) -> np.ndarray:
+    """The metric between p and q along the last axis, broadcast over the
+    others. Raises ValueError for an unknown metric and when a distance
+    overflows float64."""
+    if metric not in METRICS:
+        raise ValueError("unknown metric %r (expected %s)"
+                         % (metric, " or ".join(map(repr, METRICS))))
+    with np.errstate(over="ignore"):
+        diff = np.abs(p - q)
+        dist = diff.max(axis=-1, initial=0.0) if metric == "linf" else np.sqrt((diff ** 2).sum(axis=-1))
+    if not np.all(np.isfinite(dist)):
+        raise ValueError("distance overflow: coordinates too far apart for float64")
+    return dist
+
+
+def _point_distance(p, q, metric: str) -> float:
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     if p.shape != q.shape:
         raise ValueError("dimension mismatch: %s vs %s" % (p.shape, q.shape))
-    return float(np.max(np.abs(p - q))) if p.size else 0.0
+    return float(_distance(p, q, metric))
+
+
+def linf_distance(p, q) -> float:
+    """Chebyshev distance: max coordinate difference."""
+    return _point_distance(p, q, "linf")
 
 
 def l2_distance(p, q) -> float:
     """Euclidean distance."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise ValueError("dimension mismatch: %s vs %s" % (p.shape, q.shape))
-    return float(np.sqrt(np.sum((p - q) ** 2)))
-
-
-METRICS = {"linf": linf_distance, "l2": l2_distance}
+    return _point_distance(p, q, "l2")
 
 
 class PointCloud:
@@ -107,16 +121,8 @@ class PointCloud:
 
         Raises ValueError when a distance overflows float64.
         """
-        if metric not in METRICS:
-            raise ValueError("unknown metric %r (expected 'linf' or 'l2')" % (metric,))
         pts = self.points
-        linf = metric == "linf"
-        with np.errstate(over="ignore"):
-            diff = np.abs(pts[:, None, :] - pts[None, :, :])
-            dist = diff.max(axis=2) if linf else np.sqrt((diff ** 2).sum(axis=2))
-        if not np.all(np.isfinite(dist)):
-            raise ValueError("distance overflow: coordinates too far apart for float64")
-        return dist
+        return _distance(pts[:, None, :], pts[None, :, :], metric)
 
 
 def closest_pair(P: PointCloud, metric="linf"):

@@ -17,7 +17,6 @@ __all__ = [
     "MAX_DIM",
     "ShiftSequence",
     "GridFrame",
-    "GridVertex",
     "Face",
     "build_frames",
     "locate",
@@ -125,16 +124,12 @@ class GridFrame(NamedTuple):
         return tuple(w * u for w in self.world_u(z))
 
 
-class GridVertex(NamedTuple):
-    s: int
-    z: Tuple[int, ...]
-
-
 class Face(NamedTuple):
     """Elementary cube of a grid: anchor index vector + bitmask of extents.
 
     The face spans [anchor_i, anchor_i + 1] in index space for each i in
     the mask and is degenerate (a point) elsewhere. dim = popcount(mask).
+    A grid vertex is the 0-face Face(s, z, 0).
     """
 
     s: int
@@ -169,8 +164,8 @@ def build_frames(lam: float, m: int, d: int, shifts: ShiftSequence) -> List[Grid
     return frames
 
 
-def locate(frame: GridFrame, p: Sequence[float]) -> GridVertex:
-    """Index vector of the grid point whose half-open cell contains p.
+def locate(frame: GridFrame, p: Sequence[float]) -> Face:
+    """The grid vertex (a 0-face) whose half-open cell contains p.
 
     Cells are [center - alpha/2, center + alpha/2) per coordinate, so a
     point exactly on a boundary is assigned upward. This is the only
@@ -186,27 +181,33 @@ def locate(frame: GridFrame, p: Sequence[float]) -> GridVertex:
         # index-space coordinate of p relative to the offset, in u-units
         t = x / u - frame.offset[i]
         z.append(int((t + half) // step))
-    return GridVertex(frame.s, tuple(z))
+    return Face(frame.s, tuple(z), 0)
 
 
-def vertex_map_g(frames: Sequence[GridFrame], s: int, v: GridVertex) -> GridVertex:
+def vertex_map_g(frames: Sequence[GridFrame], s: int, v: Face) -> Face:
     """The unique vertex of frame s+1 whose cell contains vertex v of frame s.
 
-    Exact integer arithmetic: with D_i = 2*v_i - eps_i (always odd), the
-    image index is (D_i -+ 1)/4, and the distance is exactly alpha_s/2
-    per coordinate.
+    v is a 0-face and so is its image. Exact integer arithmetic: with
+    D_i = 2*v_i - eps_i (always odd), the image index is (D_i -+ 1)/4,
+    and the distance is exactly alpha_s/2 per coordinate.
     """
-    if v.s != s:
-        raise ValueError("vertex is at scale %d, expected %d" % (v.s, s))
-    return GridVertex(s + 1, _face_image(v.z, 0, _step_signs(frames, s))[0])
+    if v.mask:
+        raise ValueError("not a vertex: %r has mask %d" % (v, v.mask))
+    return Face(s + 1, *_face_image(v.anchor, 0, _step_signs(frames, s, v)))
 
 
-def _step_signs(frames: Sequence[GridFrame], s: int) -> List[int]:
-    """The shift signs eps_s between frames s and s+1."""
+def _step_signs(frames: Sequence[GridFrame], s: int, f: Face) -> List[int]:
+    """The shift signs eps_s between frames s and s+1, once f is checked
+    to be a face of frame s."""
+    if f.s != s:
+        raise ValueError("face is at scale %d, expected %d" % (f.s, s))
     if s + 1 >= len(frames):
         raise ValueError("no frame at scale %d" % (s + 1,))
     fr, to = frames[s], frames[s + 1]
-    return [(t - o) >> s for o, t in zip(fr.offset, to.offset)]  # +-1 by construction
+    eps = [(t - o) >> s for o, t in zip(fr.offset, to.offset)]  # +-1 by construction
+    if len(f.anchor) != len(eps) or f.mask >> len(eps):
+        raise ValueError("%r is not a face of a %d-dimensional grid" % (f, len(eps)))
+    return eps
 
 
 def _face_image(anchor: Sequence[int], mask: int, eps: Sequence[int]) -> Tuple[Tuple[int, ...], int]:
@@ -235,9 +236,7 @@ def face_map_g(frames: Sequence[GridFrame], s: int, f: Face) -> Face:
     (the direction survives) or coincide (it collapses and leaves the
     mask). Images of vertices are vertex_map_g.
     """
-    if f.s != s:
-        raise ValueError("face is at scale %d, expected %d" % (f.s, s))
-    return Face(s + 1, *_face_image(f.anchor, f.mask, _step_signs(frames, s)))
+    return Face(s + 1, *_face_image(f.anchor, f.mask, _step_signs(frames, s, f)))
 
 
 def _submasks(mask: int):
@@ -263,9 +262,9 @@ def _corners(anchor: Tuple[int, ...], mask: int) -> Dict[int, Tuple[int, ...]]:
     return corner
 
 
-def face_vertices(f: Face) -> List[Tuple[int, ...]]:
-    """The 2^dim corner index vectors of a face."""
-    return list(_corners(f.anchor, f.mask).values())
+def face_vertices(f: Face) -> List[Face]:
+    """The 2^dim corners of a face, as 0-faces."""
+    return [Face(f.s, c, 0) for c in _corners(f.anchor, f.mask).values()]
 
 
 def subfaces(f: Face, proper: bool = False):

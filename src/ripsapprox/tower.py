@@ -24,11 +24,10 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from .cubical import ActiveVertexMap, CubicalComplex, active_vertices, closure, spanned_faces
-from .geometry import PointCloud, closest_pair, diameter
+from .geometry import METRICS, PointCloud, closest_pair, diameter
 from .lattice import (
     MAX_DIM,
     Face,
-    GridVertex,
     ShiftSequence,
     _face_image,
     _splitmix64,
@@ -156,7 +155,7 @@ class EventStream:
             mode = head[8]
         except ValueError:
             raise MalformedStream("bad header fields: %r" % lines[0])
-        if metric not in ("linf", "l2") or mode not in ("simplicial", "cubical"):
+        if metric not in METRICS or mode not in ("simplicial", "cubical"):
             raise MalformedStream("bad metric/mode in header")
         if not (n >= 1 and 1 <= d <= MAX_DIM and 0 <= k <= d and m >= 0
                 and math.isfinite(lam) and lam > 0):
@@ -308,10 +307,9 @@ def _chains_ending(F: Face, cap: int):
 
 def _push_active(V: ActiveVertexMap, frames, s: int) -> ActiveVertexMap:
     """Next-scale active vertices via the vertex map (no point relocation)."""
-    mapping: Dict[Tuple[int, ...], List[int]] = {}
-    for z, ids in V.items():
-        y = vertex_map_g(frames, s, GridVertex(s, z)).z
-        mapping.setdefault(y, []).extend(ids)
+    mapping: Dict[Face, List[int]] = {}
+    for v, ids in V.items():
+        mapping.setdefault(vertex_map_g(frames, s, v), []).extend(ids)
     return ActiveVertexMap(s + 1, mapping)
 
 
@@ -379,7 +377,7 @@ def _build_tower(P: PointCloud, k: int, seed: int, metric: str, mode: str,
                 new_id_of_face[f] = next_id
                 group.append(Include(next_id, 0, ()))
             else:
-                corners = sorted(new_id_of_face[Face(s, z, 0)] for z in face_vertices(f))
+                corners = sorted(map(new_id_of_face.__getitem__, face_vertices(f)))
                 group.append(Include(next_id, f.dim, tuple(corners)))
             next_id += 1
 

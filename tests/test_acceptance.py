@@ -15,7 +15,6 @@ from ripsapprox.diagram import certify_approximation
 from ripsapprox.geometry import PointCloud, spread
 from ripsapprox.lattice import (
     Face,
-    GridVertex,
     ShiftSequence,
     build_frames,
     face_map_g,
@@ -199,11 +198,11 @@ def test_criterion_6_grid_map_properties(capsys):
         frames, d, m = _random_frames(rng)
         s = int(rng.integers(0, m))
         z = tuple(int(t) for t in rng.integers(-100, 100, d))
-        y = vertex_map_g(frames, s, GridVertex(s, z))
+        y = vertex_map_g(frames, s, Face(s, z, 0))
         # child cell inside parent cell, exact integer u units
         half, half_next = 1 << s, 1 << (s + 1)
         cw = frames[s].world_u(z)
-        pw = frames[s + 1].world_u(y.z)
+        pw = frames[s + 1].world_u(y.anchor)
         for i in range(d):
             if not (pw[i] - half_next <= cw[i] - half and
                     cw[i] + half <= pw[i] + half_next):
@@ -217,7 +216,7 @@ def test_criterion_6_grid_map_properties(capsys):
         f = Face(s, anchor, int(rng.integers(0, 1 << d)))
         e = face_map_g(frames, s, f)
         # corner images span exactly the image face
-        imgs = {vertex_map_g(frames, s, GridVertex(s, c)).z for c in face_vertices(f)}
+        imgs = {vertex_map_g(frames, s, c) for c in face_vertices(f)}
         if imgs != set(face_vertices(e)):
             bad_lift_faces += 1
             continue

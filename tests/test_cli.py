@@ -188,8 +188,8 @@ def test_tower_barcode_k_capped_by_stream(tmp_path):
 
 def test_negative_k_exits_parse(tmp_path, capsys):
     pts, stream = build_stream_file(tmp_path)
-    for args in (["tower", pts], ["rips-barcode", pts], ["compare", pts],
-                 ["tower-barcode", stream]):
+    for args in (["tower", pts], ["tower", pts, "--mode", "cubical"], ["rips-barcode", pts],
+                 ["compare", pts], ["tower-barcode", stream]):
         assert main(args + ["--k", "-1"]) == EXIT_PARSE
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("parse error: k must be")

@@ -17,7 +17,6 @@ from ripsapprox.lattice import (
     MAX_DIM,
     Face,
     GridFrame,
-    GridVertex,
     ShiftSequence,
     build_frames,
     face_map_g,
@@ -35,7 +34,7 @@ def frames_fixed(lam, signs):
 
 
 def vmap(s, assignment):
-    return ActiveVertexMap(s, {tuple(z): list(ids) for z, ids in assignment.items()})
+    return ActiveVertexMap(s, {Face(s, tuple(z), 0): list(ids) for z, ids in assignment.items()})
 
 
 # --- active vertices ---
@@ -44,13 +43,13 @@ def vmap(s, assignment):
 def test_active_vertices_examples():
     fr = frames_fixed(1.0, [(1,)])[0]
     V = active_vertices(fr, PointCloud([0.1]))
-    assert dict(V.items()) == {(0,): [0]}
+    assert dict(V.items()) == {Face(0, (0,), 0): [0]}
 
     V = active_vertices(fr, PointCloud([0.1, 0.2]))
-    assert dict(V.items()) == {(0,): [0, 1]}
+    assert dict(V.items()) == {Face(0, (0,), 0): [0, 1]}
 
     V = active_vertices(fr, PointCloud([0.1, 1.9]))
-    assert dict(V.items()) == {(0,): [0], (2,): [1]}
+    assert dict(V.items()) == {Face(0, (0,), 0): [0], Face(0, (2,), 0): [1]}
 
 
 def test_active_vertices_partition_and_section():
@@ -63,12 +62,12 @@ def test_active_vertices_partition_and_section():
         assert ids == sorted(ids)
         assert V.section(z) == ids[0]
         for pid in ids:
-            assert locate(fr, P.points[pid]).z == z
+            assert locate(fr, P.points[pid]) == z
 
 
 def test_active_vertex_map_rejects_empty_lists():
     with pytest.raises(ValueError):
-        ActiveVertexMap(0, {(0, 0): []})
+        ActiveVertexMap(0, {Face(0, (0, 0), 0): []})
 
 
 # --- spanning test ---
@@ -136,10 +135,10 @@ def test_spanned_faces_dimension_limit():
 
 
 def test_incident_faces_counts():
-    star = list(incident_faces(0, (0, 0, 0), range(3)))
+    star = list(incident_faces(Face(0, (0, 0, 0), 0), range(3)))
     assert len(star) == 27 and len(set(star)) == 27
     assert sum(1 for f in star if f.dim == 3) == 8
-    sub = list(incident_faces(0, (0, 0, 0), [1]))
+    sub = list(incident_faces(Face(0, (0, 0, 0), 0), [1]))
     assert len(sub) == 3
 
 
@@ -266,8 +265,8 @@ def test_push_equals_relocate():
         for s in range(4):
             V, _ = levels[s]
             pushed = {}
-            for z, ids in V.items():
-                y = vertex_map_g(frames, s, GridVertex(s, z)).z
+            for v, ids in V.items():
+                y = vertex_map_g(frames, s, v)
                 pushed.setdefault(y, []).extend(ids)
             pushed = {z: sorted(v) for z, v in pushed.items()}
             assert pushed == dict(levels[s + 1][0].items())
@@ -314,7 +313,7 @@ def test_small_diameter_subsets_share_a_face():
         fr = frames_fixed(1.0, [tuple(rng.choice((-1, 1), d))])[0]
         base = rng.uniform(-5, 5, d)
         Q = [base + rng.uniform(0, fr.alpha, d) * 0.999 for _ in range(4)]
-        zs = [locate(fr, q).z for q in Q]
+        zs = [locate(fr, q).anchor for q in Q]
         for i in range(d):
             coords = [z[i] for z in zs]
             assert max(coords) - min(coords) <= 1

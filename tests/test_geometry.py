@@ -160,6 +160,10 @@ def test_pairwise_distance_overflow_rejected():
         assert wide.pairwise_distances("linf")[0, 1] == 1e200
         with pytest.raises(ValueError, match="distance overflow"):
             closest_pair(far)
+        for fn, p, q in ((l2_distance, (1e200, 0.0), (-1e200, 0.0)),
+                         (linf_distance, (1.5e308, 0.0), (-1.5e308, 0.0))):
+            with pytest.raises(ValueError, match="distance overflow"):
+                fn(p, q)
 
 
 @st.composite

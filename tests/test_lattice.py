@@ -7,7 +7,6 @@ import pytest
 from ripsapprox.lattice import (
     MAX_DIM,
     Face,
-    GridVertex,
     ShiftSequence,
     build_frames,
     face_map_g,
@@ -103,12 +102,12 @@ def test_build_frames_validation():
 
 def test_locate_examples():
     fr = frames_fixed(1.0, [(1, 1)])[0]
-    assert locate(fr, (0.3, -0.6)).z == (0, -1)
+    assert locate(fr, (0.3, -0.6)).anchor == (0, -1)
 
     fr1 = frames_fixed(1.0, [(1,)])[0]
-    assert locate(fr1, (0.5,)).z == (1,)  # boundary goes up
-    assert locate(fr1, (-0.5,)).z == (0,)
-    assert locate(fr1, (2.0,)).z == (2,)  # a grid point locates to itself
+    assert locate(fr1, (0.5,)).anchor == (1,)  # boundary goes up
+    assert locate(fr1, (-0.5,)).anchor == (0,)
+    assert locate(fr1, (2.0,)).anchor == (2,)  # a grid point locates to itself
 
 
 def test_locate_dimension_mismatch():
@@ -126,7 +125,7 @@ def test_locate_halfopen_cells():
             for _ in range(200):
                 p = rng.uniform(-20, 20, 3)
                 z = locate(fr, p)
-                w = fr.world(z.z)
+                w = fr.world(z.anchor)
                 for i in range(3):
                     assert w[i] - half <= p[i] < w[i] + half + 1e-12
 
@@ -137,13 +136,13 @@ def test_locate_halfopen_cells():
 def test_vertex_map_examples():
     # lam=2, all-plus shift: the image of the origin sits at world (1, 1)
     fr = frames_fixed(2.0, [(1, 1)])
-    y = vertex_map_g(fr, 0, GridVertex(0, (0, 0)))
-    assert fr[1].world(y.z) == (1.0, 1.0)
+    y = vertex_map_g(fr, 0, Face(0, (0, 0), 0))
+    assert fr[1].world(y.anchor) == (1.0, 1.0)
 
     # lam=1, d=1, plus shift: world 0 maps to world 1/2
     fr = frames_fixed(1.0, [(1,)])
-    y = vertex_map_g(fr, 0, GridVertex(0, (0,)))
-    assert fr[1].world(y.z) == (0.5,)
+    y = vertex_map_g(fr, 0, Face(0, (0,), 0))
+    assert fr[1].world(y.anchor) == (0.5,)
 
 
 def test_vertex_map_moves_exactly_half_alpha():
@@ -152,9 +151,9 @@ def test_vertex_map_moves_exactly_half_alpha():
     for s in range(5):
         for _ in range(100):
             z = tuple(int(t) for t in rng.integers(-40, 40, 4))
-            y = vertex_map_g(frames, s, GridVertex(s, z))
+            y = vertex_map_g(frames, s, Face(s, z, 0))
             src = frames[s].world_u(z)
-            dst = frames[s + 1].world_u(y.z)
+            dst = frames[s + 1].world_u(y.anchor)
             half = 1 << s  # alpha_s/2 in u units
             assert all(abs(a - b) == half for a, b in zip(src, dst))
 
@@ -167,12 +166,12 @@ def test_vertex_map_is_nearest_choice():
         step = frames[s + 1].step_u
         for _ in range(100):
             z = tuple(int(t) for t in rng.integers(-30, 30, 2))
-            y = vertex_map_g(frames, s, GridVertex(s, z))
+            y = vertex_map_g(frames, s, Face(s, z, 0))
             src = frames[s].world_u(z)
             for i in range(2):
-                here = abs(frames[s + 1].world_u(y.z)[i] - src[i])
+                here = abs(frames[s + 1].world_u(y.anchor)[i] - src[i])
                 for dy in (-1, 1):
-                    other = list(y.z)
+                    other = list(y.anchor)
                     other[i] += dy
                     alt = abs(frames[s + 1].world_u(tuple(other))[i] - src[i])
                     assert here < alt
@@ -181,9 +180,11 @@ def test_vertex_map_is_nearest_choice():
 def test_vertex_map_validation():
     frames = frames_fixed(1.0, [(1,)])
     with pytest.raises(ValueError):
-        vertex_map_g(frames, 1, GridVertex(1, (0,)))  # no frame at s+1
+        vertex_map_g(frames, 1, Face(1, (0,), 0))  # no frame at s+1
     with pytest.raises(ValueError):
-        vertex_map_g(frames, 0, GridVertex(1, (0,)))  # wrong scale tag
+        vertex_map_g(frames, 0, Face(1, (0,), 0))  # wrong scale tag
+    with pytest.raises(ValueError):
+        vertex_map_g(frames, 0, Face(0, (0,), 1))  # an edge, not a vertex
 
 
 # --- face map ---
@@ -200,6 +201,17 @@ def test_face_map_collapse_by_shift_sign():
     assert img.mask == 1 and img.dim == 1  # direction survives
 
 
+def test_face_map_rejects_faces_of_another_dimension():
+    frames = frames_fixed(1.0, [(1, -1)])
+    for f in (Face(0, (0, 0, 5), 0),  # zip would drop the third coordinate
+              Face(0, (0,), 0),
+              Face(0, (0, 0), 0b100)):  # an extent direction the grid lacks
+        with pytest.raises(ValueError):
+            face_map_g(frames, 0, f)
+    with pytest.raises(ValueError):
+        vertex_map_g(frames, 0, Face(0, (0, 0, 5), 0))
+
+
 def test_face_map_on_vertices_matches_vertex_map():
     rng = np.random.default_rng(5)
     frames = frames_fixed(1.0, [tuple(rng.choice((-1, 1), 3)) for _ in range(3)])
@@ -209,7 +221,7 @@ def test_face_map_on_vertices_matches_vertex_map():
             f = Face(s, z, 0)
             img = face_map_g(frames, s, f)
             assert img.mask == 0
-            assert img.anchor == vertex_map_g(frames, s, GridVertex(s, z)).z
+            assert img.anchor == vertex_map_g(frames, s, Face(s, z, 0)).anchor
 
 
 def test_face_map_is_vertexwise_span():
@@ -223,7 +235,7 @@ def test_face_map_is_vertexwise_span():
             f = Face(s, anchor, mask)
             img = face_map_g(frames, s, f)
             assert img.dim <= f.dim
-            got = {vertex_map_g(frames, s, GridVertex(s, z)).z for z in face_vertices(f)}
+            got = {vertex_map_g(frames, s, v) for v in face_vertices(f)}
             assert got == set(face_vertices(img))
 
 
@@ -258,9 +270,10 @@ def test_face_vertices_subfaces_facets_counts():
                         a[i] += c
                 return Face(2, tuple(a), m)
 
-            corners = {face_of(c).anchor for c in itertools.product((0, 1), repeat=len(dirs))}
+            corners = {face_of(c) for c in itertools.product((0, 1), repeat=len(dirs))}
             faces = {face_of(c) for c in itertools.product((None, 0, 1), repeat=len(dirs))}
             assert len(face_vertices(f)) == len(corners) and set(face_vertices(f)) == corners
+            assert face_vertices(f) == [g for g in subfaces(f) if g.mask == 0]
             listed = list(subfaces(f))
             assert len(listed) == len(faces) and set(listed) == faces
             proper = list(subfaces(f, proper=True))
@@ -280,6 +293,6 @@ def test_subface_relation():
     assert not is_subface(Face(0, (0, 0), 0), f)
     assert not is_subface(Face(1, (2, 3), 0), f)  # scales differ
     # every corner is a subface, any other vertex is not
-    for z in face_vertices(f):
-        assert is_subface(Face(0, z, 0), f)
+    for v in face_vertices(f):
+        assert is_subface(v, f)
     assert not is_subface(Face(0, (4, 3), 0), f)

@@ -28,3 +28,24 @@ def test_package_exports_resolve():
         for alias in node.names:
             assert alias.name in mod.__all__, (node.module, alias.name)
             assert getattr(ripsapprox, alias.name) is getattr(mod, alias.name)
+
+
+
+def test_perfbench_trace_targets_resolve():
+    # perfbench wraps these "module:qualname" targets by name from
+    # outside; a rename here would break `perfbench/run.py --trace 1`
+    # without failing anything else
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    tree = ast.parse(path.read_text())
+    targets = [node.value for stmt in tree.body
+               if isinstance(stmt, ast.AnnAssign) and stmt.target.id in ("SPANS", "COUNTERS")
+               for node in ast.walk(stmt.value)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)
+               and ":" in node.value]
+    assert len(targets) > 10
+    for target in targets:
+        modname, qualname = target.split(":")
+        obj = importlib.import_module(modname)
+        for part in qualname.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), target
