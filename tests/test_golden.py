@@ -20,6 +20,9 @@ CLOUDS = {
     "d2": (12, 12, 2),
     "d3": (13, 8, 3),
     "d4": (14, 10, 4),
+    # set 0 of the perfbench compare workloads: default_rng(0).uniform(0, 10)
+    "bench_n70": (0, 70, 2),
+    "bench_n200": (0, 200, 2),
 }
 
 # output name -> CLI arguments, run in this order with `--out <name>`;
@@ -46,6 +49,12 @@ RUNS = [
     ("tower_barcode_d4_k2", ["tower-barcode", "{tower_d4_k2}"]),
     ("tower_barcode_d4_k1", ["tower-barcode", "{tower_d4_k2}", "--k", "1"]),
     ("survival_d5_k2", ["survival", "--d", "5", "--k", "2", "--trials", "300", "--seed", "4"]),
+    ("rips_barcode_d3_k2", ["rips-barcode", "{d3}", "--k", "2"]),
+    ("rips_barcode_bench_n70", ["rips-barcode", "{bench_n70}", "--k", "1"]),
+    ("compare_linf_bench_n70", ["compare", "{bench_n70}", "--k", "1", "--metric", "linf",
+                                "--seed", "0"]),
+    ("compare_l2_bench_n200", ["compare", "{bench_n200}", "--k", "0", "--metric", "l2",
+                               "--seed", "0"]),
 ]
 
 # output name -> (exit code, SHA-256 of the output file)
@@ -71,6 +80,10 @@ GOLDEN = {
     "tower_barcode_d4_k2": (0, "8fc551e4c5bc6a36a8b5a04c0ea71ccb2ae92f28a7f647dff3ffa31de49d80b7"),
     "tower_barcode_d4_k1": (0, "233675edd50c2c3c1f1a437a8e819b28cf818181ecb524c32006930384a3c8b0"),
     "survival_d5_k2": (0, "46714421bea220007744ea3658b206ec819a863c993e5596cc355707efe2e0c1"),
+    "rips_barcode_d3_k2": (0, "c2fe4cead1b4863a2af08525ad7201873aa8b729540f511529268eb5f2a48725"),
+    "rips_barcode_bench_n70": (0, "97815b47f9489768ec22b0b572f6a06d494199194030e3b32501c58af0b4b3a3"),
+    "compare_linf_bench_n70": (0, "6257e6126c79e61b051d2ea28d0e87299c8058a08d7f77847bb36d74a59616ca"),
+    "compare_l2_bench_n200": (0, "5faadcb21f7bf8b5f57a60dbb1887b247d8fa53b9b084e2bbb14875ee2157c3c"),
 }
 
 
