@@ -16,7 +16,7 @@ from .tower import (
     build_simplicial_tower, build_cubical_tower, replay, survival_experiment,
     active_inclusion_bound, cubical_cell_bound, simplicial_inclusion_bound,
 )
-from .persistence import Barcode, Filtration, rips_filtration, reduce, betti, tower_barcode, coning_oracle
+from .persistence import Barcode, Filtration, rips_filtration, rips_barcode, reduce, betti, tower_barcode, coning_oracle
 from .diagram import multiplicative_bottleneck, certify_approximation, Certificate
 
 __version__ = "0.1.0"

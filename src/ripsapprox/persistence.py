@@ -16,16 +16,19 @@ import itertools
 import math
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from .barycentric import SimplicialComplex
 from .cubical import CubicalComplex, cubical_boundary
 from .geometry import PointCloud
 from .tower import (EventStream, GuardrailExceeded, Include, MalformedStream, Scale, Snapshot,
-                    _fmt_g17, _walk_scales)
+                    _find, _fmt_g17, _walk_scales)
 
 __all__ = [
     "Filtration",
     "Barcode",
     "rips_filtration",
+    "rips_barcode",
     "reduce",
     "betti",
     "tower_barcode",
@@ -122,6 +125,19 @@ class Filtration:
         return iter(self.simplices)
 
 
+def _rips_size(n: int, k: int) -> int:
+    """Number of simplices of dimension <= k+1 on n vertices."""
+    return sum(math.comb(n, r) for r in range(1, min(k + 2, n) + 1))
+
+
+def _check_rips_size(n: int, k: int, max_simplices: Optional[int]) -> None:
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    count = _rips_size(n, k)
+    if max_simplices is not None and count > max_simplices:
+        raise GuardrailExceeded("Rips filtration needs %d simplices > %d" % (count, max_simplices))
+
+
 def rips_filtration(P: PointCloud, metric="linf", k: int = 1,
                     max_simplices: Optional[int] = 10_000_000) -> Filtration:
     """All simplices of dimension <= k+1 with value diam/2.
@@ -129,16 +145,11 @@ def rips_filtration(P: PointCloud, metric="linf", k: int = 1,
     One dimension above the homology cap so that deaths in dimension k
     come out right. Order: value, then dimension, then vertex ids.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    _check_rips_size(P.n, k, max_simplices)
     n = P.n
-    top = min(k + 2, n)
-    count = sum(math.comb(n, r) for r in range(1, top + 1))
-    if max_simplices is not None and count > max_simplices:
-        raise GuardrailExceeded("Rips filtration needs %d simplices > %d" % (count, max_simplices))
     dm = P.pairwise_distances(metric).tolist()
     out = []
-    for r in range(1, top + 1):
+    for r in range(1, min(k + 2, n) + 1):
         for combo in itertools.combinations(range(n), r):
             if r == 1:
                 val = 0.0
@@ -147,6 +158,110 @@ def rips_filtration(P: PointCloud, metric="linf", k: int = 1,
             out.append((val, combo))
     out.sort(key=lambda t: (t[0], len(t[1]), t[1]))
     return Filtration(out)
+
+
+def rips_barcode(P: PointCloud, metric="linf", k: int = 1,
+                 max_simplices: Optional[int] = 10_000_000) -> Barcode:
+    """The barcode of `reduce(rips_filtration(P, metric, k), homology_cap=k)`.
+
+    Computed as Ripser does (Bauer, JACT 2021). Simplices above the
+    enclosing radius r = min_i max_j D[i, j] are dropped: from r on, the
+    (k+1)-skeleton is a cone over the centre point, so no class of
+    dimension <= k is alive there. Dimension 0 is Kruskal's algorithm;
+    dimensions 1..k reduce coboundary columns in reverse filtration
+    order, skipping the columns that the previous dimension's pivots
+    clear (Chen and Kerber, 2011). A column's cofacets are enumerated
+    when it is reduced; only columns changed by the reduction are kept.
+
+    A q-simplex with value rank v and sorted vertices s_0 < ... < s_q
+    has the key v*n^(q+1) + sum_i s_i*n^(q-i), so keys order simplices
+    by (value, vertices), as `rips_filtration` does within a dimension.
+    The same count guard as `rips_filtration` runs before any distance.
+    """
+    _check_rips_size(P.n, k, max_simplices)
+    n = P.n
+    D = P.pairwise_distances(metric) / 2.0
+    radius = D.max(axis=1).min()
+    vals = np.unique(D[D <= radius])
+    top = len(vals) - 1
+    # value rank of every edge; the diagonal is ranked above r, so a
+    # vertex is never added to a simplex twice
+    R = np.searchsorted(vals, D)
+    np.fill_diagonal(R, top + 1)
+    # Python ints once the keys could outgrow int64
+    dt = np.int64 if len(vals) * float(n) ** (k + 2) < 2.0 ** 62 else object
+    pw = np.array([n ** e for e in range(k + 3)], dtype=dt)
+    out = Barcode()
+    i, j = np.triu_indices(n, 1)
+    ranks = R[i, j]
+    simp, ranks = np.column_stack([i, j])[ranks <= top], ranks[ranks <= top]
+    parent: Dict[int, int] = {}
+    cleared = set()
+    order = np.lexsort((simp[:, 1], simp[:, 0], ranks))
+    for (a, b), v in zip(simp[order].tolist(), ranks[order].tolist()):
+        ra, rb = _find(parent, a), _find(parent, b)
+        if ra != rb:
+            parent[ra] = rb
+            cleared.add((v * n + a) * n + b)
+            if v:
+                out.add(0, 0.0, float(vals[v]))
+            if len(parent) == n - 1:
+                break
+    for p in range(1, k + 1):
+        cunit = int(pw[p + 2])
+        # heads[c, i] = s_0*n^p + ... over the first i vertices of simplex c
+        heads = np.zeros((len(simp), p + 2), dtype=dt)
+        np.cumsum(simp.astype(dt) * pw[p::-1], axis=1, out=heads[:, 1:])
+        rank_list = ranks.tolist()
+        keys = (ranks.astype(dt) * pw[p + 1] + heads[:, -1]).tolist()
+
+        def coboundary(c: int) -> np.ndarray:
+            s = simp[c]
+            cv = np.maximum(R[s].max(axis=0), rank_list[c])
+            ls = np.flatnonzero(cv <= top)
+            # l enters s at position `at`: the vertices below it move up
+            # one digit, l takes digit p+1-at, the rest stay
+            at = np.searchsorted(s, ls)
+            head = heads[c]
+            return (cv[ls].astype(dt) * cunit + head[-1] + (n - 1) * head[at]
+                    + ls.astype(dt) * pw[p + 1 - at])
+
+        pivots: Dict[int, int] = {}
+        kept: Dict[int, Set[int]] = {}
+        for c in sorted(range(len(keys)), key=keys.__getitem__, reverse=True):
+            if keys[c] in cleared:
+                continue
+            tau = coboundary(c)
+            piv = int(tau.min()) if tau.size else None
+            col = None  # the column as a set, once the reduction adds to it
+            while piv is not None:
+                owner = pivots.get(piv)
+                if owner is None:
+                    pivots[piv] = c
+                    if col is not None:
+                        kept[c] = col
+                    if piv // cunit > rank_list[c]:
+                        out.add(p, float(vals[rank_list[c]]), float(vals[piv // cunit]))
+                    break
+                if col is None:
+                    col = set(tau.tolist())
+                col ^= kept.get(owner) or set(coboundary(owner).tolist())
+                piv = min(col) if col else None
+        if p == k:
+            break
+        cleared = set(pivots)
+        # the (p+1)-simplices within r, each grown from the p-face
+        # without its top vertex l
+        grown, grown_ranks = [], []
+        for l in range(n):
+            below = simp[:, -1] < l
+            cv = np.maximum(ranks[below], R[simp[below], l].max(axis=1))
+            ok = cv <= top
+            grown.append(np.column_stack([simp[below][ok], np.full(ok.sum(), l)]))
+            grown_ranks.append(cv[ok])
+        simp, ranks = np.concatenate(grown), np.concatenate(grown_ranks)
+    out.sort()
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,14 @@ def test_rips_barcode_guardrail(tmp_path):
     assert main(["rips-barcode", pts, "--k", "3", "--guard-cells", "100"]) == EXIT_GUARDRAIL
 
 
+def test_compare_guardrail_on_exact_side(tmp_path, capsys):
+    # the tower fits; the exact side's 30 + 435 + 4060 simplices do not
+    pts = write_cloud(tmp_path, 4, 30, 1)
+    assert main(["compare", pts, "--seed", "1", "--guard-cells", "4524"]) == EXIT_GUARDRAIL
+    assert capsys.readouterr().err == "guardrail: Rips filtration needs 4525 simplices > 4524\n"
+    assert main(["compare", pts, "--seed", "1", "--guard-cells", "4525"]) == EXIT_OK
+
+
 # --- tower barcode ---
 
 
@@ -236,6 +244,28 @@ def test_stats_simplicial_all_pass(tmp_path, capsys):
     assert "rebuild reproduces stream" in report
     assert "active-face inclusions" in report
     assert "result: PASS" in report
+
+
+def test_stats_passes_k_capped_stream(tmp_path, capsys):
+    # the final snapshot of a k=1 stream is the 1-skeleton of a
+    # subdivided square: b_1 = 8 there, which is no failure below k = d
+    pts = write_points(tmp_path, np.random.default_rng(5).uniform(0, 10, (8, 2)))
+    stream = str(tmp_path / "stream.txt")
+    assert main(["tower", pts, "--k", "1", "--out", stream]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["stats", stream]) == EXIT_OK
+    assert "check final scale reduced-acyclic: 0 vs 0 PASS" in capsys.readouterr().out
+
+
+def test_stats_passes_every_cap_below_d(tmp_path, capsys):
+    for d in (2, 3):
+        for seed in range(20):
+            pts = write_cloud(tmp_path, 700 + seed, 8, d)
+            for k in range(d):
+                stream = str(tmp_path / ("stream-%d-%d-%d.txt" % (d, seed, k)))
+                assert main(["tower", pts, "--k", str(k), "--out", stream]) == EXIT_OK
+                assert main(["stats", stream]) == EXIT_OK, (d, seed, k)
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_stats_cubical_all_pass(tmp_path, capsys):

@@ -16,6 +16,7 @@ from ripsapprox.persistence import (
     betti,
     coning_oracle,
     reduce,
+    rips_barcode,
     rips_filtration,
     tower_barcode,
     _cells_from_simplices,
@@ -172,6 +173,65 @@ def test_reduce_counts_match_betti_at_prefixes():
         got = [alive.get(p, 0) for p in range(len(want))]
         assert got == want
         assert sum(alive.values()) == sum(want)
+
+
+# --- exact Rips barcode ---
+
+
+def assert_rips_barcode_matches(P, metric, k):
+    want = reduce(rips_filtration(P, metric, k), homology_cap=k).to_text()
+    assert rips_barcode(P, metric, k).to_text() == want, (P.n, P.d, metric, k)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_rips_barcode_matches_reduce_on_sweep(k):
+    # the point clouds of criteria 1 and 2; at k=2 the oracle is slow
+    # above n=15 (the full k=2 sweep is checked by hand)
+    for n in range(5, 26 if k < 2 else 16, 2):
+        for d in (2, 3):
+            for seed in range(5):
+                P = random_cloud([seed, n, d], n, d)
+                for metric in ("linf", "l2"):
+                    assert_rips_barcode_matches(P, metric, k)
+
+
+@pytest.mark.parametrize("metric", ["linf", "l2"])
+def test_rips_barcode_matches_reduce_on_ties(metric):
+    # integer coordinates give many equal values, more so in linf
+    for seed in range(12):
+        rng = np.random.default_rng([seed, 31])
+        pts = np.unique(rng.integers(0, 4, size=(13, 2 + seed % 2)), axis=0).astype(float)
+        for k in (0, 1, 2):
+            assert_rips_barcode_matches(PointCloud(pts), metric, k)
+
+
+@pytest.mark.parametrize("n,k", [(1, 0), (1, 2), (2, 0), (2, 1), (3, 2), (4, 3), (6, 5),
+                                 (10, 16)])
+def test_rips_barcode_matches_reduce_on_few_points(n, k):
+    # n <= k+1 makes the whole simplex; (10, 16) takes keys beyond int64
+    for metric in ("linf", "l2"):
+        assert_rips_barcode_matches(random_cloud([n, k], n, 2), metric, k)
+
+
+def test_rips_barcode_two_points():
+    assert rips_barcode(PointCloud([0.0, 1.0]), "linf", 1).to_text() == "0 0 0.5\n"
+    assert rips_barcode(PointCloud([[2.5, 1.0]]), "l2", 2).total() == 0
+
+
+def test_rips_barcode_guard_before_distances(monkeypatch):
+    P = random_cloud(4, 25, 2)
+    with pytest.raises(GuardrailExceeded) as want:
+        rips_filtration(P, "linf", 3, max_simplices=100)
+
+    def no_distances(*args):
+        raise AssertionError("distances computed before the guard")
+
+    monkeypatch.setattr(PointCloud, "pairwise_distances", no_distances)
+    with pytest.raises(GuardrailExceeded) as got:
+        rips_barcode(P, "linf", 3, max_simplices=100)
+    assert str(got.value) == str(want.value) == "Rips filtration needs 68405 simplices > 100"
+    with pytest.raises(ValueError):
+        rips_barcode(P, "linf", -1)
 
 
 # --- Betti numbers ---

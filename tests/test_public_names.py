@@ -30,6 +30,12 @@ def test_package_exports_resolve():
             assert getattr(ripsapprox, alias.name) is getattr(mod, alias.name)
 
 
+def test_rips_barcode_exported():
+    from ripsapprox import persistence
+
+    assert "rips_barcode" in persistence.__all__
+    assert ripsapprox.rips_barcode is persistence.rips_barcode
+
 
 def test_perfbench_trace_targets_resolve():
     # perfbench wraps these "module:qualname" targets by name from
