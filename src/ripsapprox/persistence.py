@@ -209,44 +209,54 @@ def rips_barcode(P: PointCloud, metric="linf", k: int = 1,
                 break
     for p in range(1, k + 1):
         cunit = int(pw[p + 2])
+        beyond = (top + 1) * cunit  # every cofacet key above r is at least this
         # heads[c, i] = s_0*n^p + ... over the first i vertices of simplex c
         heads = np.zeros((len(simp), p + 2), dtype=dt)
         np.cumsum(simp.astype(dt) * pw[p::-1], axis=1, out=heads[:, 1:])
         rank_list = ranks.tolist()
         keys = (ranks.astype(dt) * pw[p + 1] + heads[:, -1]).tolist()
 
-        def coboundary(c: int) -> np.ndarray:
-            s = simp[c]
-            cv = np.maximum(R[s].max(axis=0), rank_list[c])
-            ls = np.flatnonzero(cv <= top)
-            # l enters s at position `at`: the vertices below it move up
-            # one digit, l takes digit p+1-at, the rest stay
-            at = np.searchsorted(s, ls)
-            head = heads[c]
-            return (cv[ls].astype(dt) * cunit + head[-1] + (n - 1) * head[at]
-                    + ls.astype(dt) * pw[p + 1 - at])
+        def cofacets(cs: List[int]) -> np.ndarray:
+            """Keys of s + {l} for every column s in cs and every vertex l.
+
+            l enters s at position `at`: the vertices below it move up
+            one digit, l takes digit p+1-at, the rest stay. A key is
+            >= beyond when s + {l} has its value above r or l is in s.
+            """
+            S, head = simp[cs], heads[cs]
+            cv = np.maximum(R[S].max(axis=1), ranks[cs, None])
+            at = (S[:, :, None] < np.arange(n)).sum(axis=1)
+            return (cv.astype(dt) * cunit + head[:, -1:]
+                    + (n - 1) * np.take_along_axis(head, at, axis=1)
+                    + np.arange(n) * pw[p + 1 - at])
+
+        def column(c: int) -> Set[int]:
+            row = cofacets([c])[0]
+            return set(row[row < beyond].tolist())
 
         pivots: Dict[int, int] = {}
         kept: Dict[int, Set[int]] = {}
-        for c in sorted(range(len(keys)), key=keys.__getitem__, reverse=True):
-            if keys[c] in cleared:
-                continue
-            tau = coboundary(c)
-            piv = int(tau.min()) if tau.size else None
-            col = None  # the column as a set, once the reduction adds to it
-            while piv is not None:
-                owner = pivots.get(piv)
-                if owner is None:
-                    pivots[piv] = c
-                    if col is not None:
-                        kept[c] = col
-                    if piv // cunit > rank_list[c]:
-                        out.add(p, float(vals[rank_list[c]]), float(vals[piv // cunit]))
-                    break
-                if col is None:
-                    col = set(tau.tolist())
-                col ^= kept.get(owner) or set(coboundary(owner).tolist())
-                piv = min(col) if col else None
+        todo = [c for c in sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
+                if keys[c] not in cleared]
+        # the pivots of unreduced columns, in blocks of about 2^17 keys
+        block = max(1, 2 ** 17 // n)
+        for start in range(0, len(todo), block):
+            cs = todo[start:start + block]
+            for c, piv in zip(cs, cofacets(cs).min(axis=1).tolist()):
+                col = None  # the column as a set, once the reduction adds to it
+                while piv < beyond:
+                    owner = pivots.get(piv)
+                    if owner is None:
+                        pivots[piv] = c
+                        if col is not None:
+                            kept[c] = col
+                        if piv // cunit > rank_list[c]:
+                            out.add(p, float(vals[rank_list[c]]), float(vals[piv // cunit]))
+                        break
+                    if col is None:
+                        col = column(c)
+                    col ^= kept.get(owner) or column(owner)
+                    piv = min(col) if col else beyond
         if p == k:
             break
         cleared = set(pivots)
