@@ -125,17 +125,15 @@ class Filtration:
         return iter(self.simplices)
 
 
-def _rips_size(n: int, k: int) -> int:
-    """Number of simplices of dimension <= k+1 on n vertices."""
-    return sum(math.comb(n, r) for r in range(1, min(k + 2, n) + 1))
-
-
-def _check_rips_size(n: int, k: int, max_simplices: Optional[int]) -> None:
+def _rips_size(n: int, k: int, max_simplices: Optional[int] = None) -> int:
+    """Number of simplices of dimension <= k+1 on n vertices, checked
+    against the guard."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    count = _rips_size(n, k)
+    count = sum(math.comb(n, r) for r in range(1, min(k + 2, n) + 1))
     if max_simplices is not None and count > max_simplices:
         raise GuardrailExceeded("Rips filtration needs %d simplices > %d" % (count, max_simplices))
+    return count
 
 
 def rips_filtration(P: PointCloud, metric="linf", k: int = 1,
@@ -145,11 +143,12 @@ def rips_filtration(P: PointCloud, metric="linf", k: int = 1,
     One dimension above the homology cap so that deaths in dimension k
     come out right. Order: value, then dimension, then vertex ids.
     """
-    _check_rips_size(P.n, k, max_simplices)
+    _rips_size(P.n, k, max_simplices)
     n = P.n
+    top = min(k + 2, n)
     dm = P.pairwise_distances(metric).tolist()
     out = []
-    for r in range(1, min(k + 2, n) + 1):
+    for r in range(1, top + 1):
         for combo in itertools.combinations(range(n), r):
             if r == 1:
                 val = 0.0
@@ -164,21 +163,24 @@ def rips_barcode(P: PointCloud, metric="linf", k: int = 1,
                  max_simplices: Optional[int] = 10_000_000) -> Barcode:
     """The barcode of `reduce(rips_filtration(P, metric, k), homology_cap=k)`.
 
-    Computed as Ripser does (Bauer, JACT 2021). Simplices above the
-    enclosing radius r = min_i max_j D[i, j] are dropped: from r on, the
-    (k+1)-skeleton is a cone over the centre point, so no class of
-    dimension <= k is alive there. Dimension 0 is Kruskal's algorithm;
-    dimensions 1..k reduce coboundary columns in reverse filtration
-    order, skipping the columns that the previous dimension's pivots
-    clear (Chen and Kerber, 2011). A column's cofacets are enumerated
-    when it is reduced; only columns changed by the reduction are kept.
+    Computed as Ripser does (Bauer, JACT 2021). With D the pairwise
+    distances halved, simplices above the enclosing radius
+    r = min_i max_j D[i, j] are dropped: from r on, the (k+1)-skeleton
+    is a cone over the centre point, so no class of dimension <= k is
+    alive there. Dimension 0 is Kruskal's algorithm; dimensions 1..k
+    reduce coboundary columns in reverse filtration order, skipping the
+    columns that the previous dimension's pivots clear (Chen and
+    Kerber, 2011). Cofacets are enumerated, never stored: the first
+    cofacet of each column is taken for a block of columns at a time,
+    and a column's full set of cofacets is built, and kept, only when
+    the reduction adds another column to it.
 
     A q-simplex with value rank v and sorted vertices s_0 < ... < s_q
     has the key v*n^(q+1) + sum_i s_i*n^(q-i), so keys order simplices
     by (value, vertices), as `rips_filtration` does within a dimension.
     The same count guard as `rips_filtration` runs before any distance.
     """
-    _check_rips_size(P.n, k, max_simplices)
+    _rips_size(P.n, k, max_simplices)
     n = P.n
     D = P.pairwise_distances(metric) / 2.0
     radius = D.max(axis=1).min()
@@ -189,7 +191,7 @@ def rips_barcode(P: PointCloud, metric="linf", k: int = 1,
     R = np.searchsorted(vals, D)
     np.fill_diagonal(R, top + 1)
     # Python ints once the keys could outgrow int64
-    dt = np.int64 if len(vals) * float(n) ** (k + 2) < 2.0 ** 62 else object
+    dt = np.int64 if len(vals) * n ** (k + 2) < 2 ** 62 else object
     pw = np.array([n ** e for e in range(k + 3)], dtype=dt)
     out = Barcode()
     i, j = np.triu_indices(n, 1)
