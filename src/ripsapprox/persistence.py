@@ -197,10 +197,14 @@ def rips_barcode(P: PointCloud, metric="linf", k: int = 1,
     i, j = np.triu_indices(n, 1)
     ranks = R[i, j]
     simp, ranks = np.column_stack([i, j])[ranks <= top], ranks[ranks <= top]
+    order = np.lexsort((simp[:, 1], simp[:, 0], ranks))
+    # n edges at a time: the spanning tree is often done long before the last
+    edges = (e for start in range(0, len(order), n)
+             for e in zip(simp[order[start:start + n]].tolist(),
+                          ranks[order[start:start + n]].tolist()))
     parent: Dict[int, int] = {}
     cleared = set()
-    order = np.lexsort((simp[:, 1], simp[:, 0], ranks))
-    for (a, b), v in zip(simp[order].tolist(), ranks[order].tolist()):
+    for (a, b), v in edges:
         ra, rb = _find(parent, a), _find(parent, b)
         if ra != rb:
             parent[ra] = rb
@@ -225,12 +229,11 @@ def rips_barcode(P: PointCloud, metric="linf", k: int = 1,
             one digit, l takes digit p+1-at, the rest stay. A key is
             >= beyond when s + {l} has its value above r or l is in s.
             """
-            S, head = simp[cs], heads[cs]
+            S, head, ls = simp[cs], heads[cs], np.arange(n)
             cv = np.maximum(R[S].max(axis=1), ranks[cs, None])
-            at = (S[:, :, None] < np.arange(n)).sum(axis=1)
+            at = (S[:, :, None] < ls).sum(axis=1)
             return (cv.astype(dt) * cunit + head[:, -1:]
-                    + (n - 1) * np.take_along_axis(head, at, axis=1)
-                    + np.arange(n) * pw[p + 1 - at])
+                    + (n - 1) * np.take_along_axis(head, at, axis=1) + ls * pw[p + 1 - at])
 
         def column(c: int) -> Set[int]:
             row = cofacets([c])[0]
