@@ -213,11 +213,6 @@ def test_rips_barcode_matches_reduce_on_few_points(n, k):
         assert_rips_barcode_matches(random_cloud([n, k], n, 2), metric, k)
 
 
-def test_rips_barcode_two_points():
-    assert rips_barcode(PointCloud([0.0, 1.0]), "linf", 1).to_text() == "0 0 0.5\n"
-    assert rips_barcode(PointCloud([[2.5, 1.0]]), "l2", 2).total() == 0
-
-
 def test_rips_barcode_guard_before_distances(monkeypatch):
     P = random_cloud(4, 25, 2)
     with pytest.raises(GuardrailExceeded) as want:
