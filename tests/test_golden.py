@@ -23,6 +23,9 @@ CLOUDS = {
     # set 0 of the perfbench compare workloads: default_rng(0).uniform(0, 10)
     "bench_n70": (0, 70, 2),
     "bench_n200": (0, 200, 2),
+    # set 0 of the perfbench tower workloads
+    "bench_n160": (0, 160, 2),
+    "bench_d6": (0, 45, 6),
 }
 
 # output name -> CLI arguments, run in this order with `--out <name>`;
@@ -55,6 +58,10 @@ RUNS = [
                                 "--seed", "0"]),
     ("compare_l2_bench_n200", ["compare", "{bench_n200}", "--k", "0", "--metric", "l2",
                                "--seed", "0"]),
+    ("tower_bench_n160_k2", ["tower", "{bench_n160}", "--k", "2", "--seed", "0"]),
+    ("tower_barcode_bench_n160", ["tower-barcode", "{tower_bench_n160_k2}", "--k", "1"]),
+    ("tower_bench_d6_cubical", ["tower", "{bench_d6}", "--mode", "cubical", "--seed", "0"]),
+    ("stats_bench_d6_cubical", ["stats", "{tower_bench_d6_cubical}"]),
 ]
 
 # output name -> (exit code, SHA-256 of the output file)
@@ -84,6 +91,10 @@ GOLDEN = {
     "rips_barcode_bench_n70": (0, "97815b47f9489768ec22b0b572f6a06d494199194030e3b32501c58af0b4b3a3"),
     "compare_linf_bench_n70": (0, "6257e6126c79e61b051d2ea28d0e87299c8058a08d7f77847bb36d74a59616ca"),
     "compare_l2_bench_n200": (0, "5faadcb21f7bf8b5f57a60dbb1887b247d8fa53b9b084e2bbb14875ee2157c3c"),
+    "tower_bench_n160_k2": (0, "1be6f8636b63170efa5151beab038f448550fa3b6b4e1e13d138e801b05b5201"),
+    "tower_barcode_bench_n160": (0, "9519c30aa350494439ac90462179ee9a15047b710d10464e48e7cd5591cb76ec"),
+    "tower_bench_d6_cubical": (0, "dd966cb97b56932d3996e59097a5348645c542395a8d8d00309fd784ad2b7b93"),
+    "stats_bench_d6_cubical": (0, "e49cf7ac8011437d948983f8daa7055a39763aa610e7ba3610631d0b2e47bf6a"),
 }
 
 
