@@ -32,10 +32,8 @@ from .lattice import (
     _face_image,
     _splitmix64,
     build_frames,
-    face_map_g,
     face_vertices,
     subfaces,
-    vertex_map_g,
 )
 
 __all__ = [
@@ -305,14 +303,6 @@ def _chains_ending(F: Face, cap: int):
                 stack.append((g,) + c)
 
 
-def _push_active(V: ActiveVertexMap, frames, s: int) -> ActiveVertexMap:
-    """Next-scale active vertices via the vertex map (no point relocation)."""
-    mapping: Dict[Face, List[int]] = {}
-    for v, ids in V.items():
-        mapping.setdefault(vertex_map_g(frames, s, v), []).extend(ids)
-    return ActiveVertexMap(s + 1, mapping)
-
-
 def _build_tower(P: PointCloud, k: int, seed: int, metric: str, mode: str,
                  lam=None, max_scales=None, guard_cells=None) -> Tuple[EventStream, TowerAudit]:
     if P.d > MAX_DIM:
@@ -335,34 +325,40 @@ def _build_tower(P: PointCloud, k: int, seed: int, metric: str, mode: str,
     # ids of the vertices of the output complex: every face of the
     # cubical complex for simplicial towers, grid vertices for cubical
     id_of_face: Dict[Face, int] = {}
-    U: Optional[CubicalComplex] = None
     V = active_vertices(frames[0], P)
+    # the grid map g on the faces of the previous complex, one image per
+    # face; empty at scale 0
+    image: Dict[Face, Face] = {}
 
     for s, frame in enumerate(frames):
-        if s > 0:
-            V = _push_active(V, frames, s - 1)
-        U_prev, U = U, closure(spanned_faces(frame, V))
+        if s:
+            eps = shifts.signs(s - 1)
+            image = {f: Face(s, *_face_image(f.anchor, f.mask, eps)) for f in faces}
+            # the active vertices are the images of the previous ones
+            pushed: Dict[Face, List[int]] = {}
+            for v, ids in V.items():
+                pushed.setdefault(image[v], []).extend(ids)
+            V = ActiveVertexMap(s, pushed)
+        U = closure(spanned_faces(frame, V))
 
         group: List = []
         new_id_of_face: Dict[Face, int] = {}
-        images: Set[Face] = set()
-        if U_prev is not None:
-            groups: Dict[Face, List[int]] = {}
-            for f in U_prev.faces():
-                img = face_map_g(frames, s - 1, f)
-                assert img in U, "image face missing from next complex"
-                images.add(img)
-                fid = id_of_face.get(f)
-                if fid is not None:
-                    groups.setdefault(img, []).append(fid)
-            for img in sorted(groups, key=lambda f: min(groups[f])):
-                ids = sorted(groups[img])
-                rep = ids[0]
-                new_id_of_face[img] = rep
-                for j in ids[1:]:
-                    group.append(Contract(rep, j))
+        groups: Dict[Face, List[int]] = {}
+        for f, img in image.items():
+            assert img in U, "image face missing from next complex"
+            fid = id_of_face.get(f)
+            if fid is not None:
+                groups.setdefault(img, []).append(fid)
+        for img in sorted(groups, key=lambda f: min(groups[f])):
+            ids = sorted(groups[img])
+            rep = ids[0]
+            new_id_of_face[img] = rep
+            for j in ids[1:]:
+                group.append(Contract(rep, j))
         n_contr = len(group)
-        new_faces = [f for f in U.faces() if f not in images]
+        images = set(image.values())
+        faces = U.faces()
+        new_faces = [f for f in faces if f not in images]
 
         # a flag is new iff its top face is new (images are closed under
         # subfaces); price the faces and their flags before enumerating
