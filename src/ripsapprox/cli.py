@@ -15,7 +15,7 @@ import argparse
 import math
 import os
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .diagram import certify_approximation
 from .geometry import METRICS, PointCloud
@@ -87,9 +87,11 @@ def _load_points(path: str) -> PointCloud:
     return PointCloud.from_file(path)
 
 
-def _load_stream(path: str) -> EventStream:
-    with open(path) as fh:
-        return EventStream.parse(fh.read())
+def _load_stream(path: str) -> Tuple[EventStream, bytes]:
+    """The parsed stream and the bytes of its file."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    return EventStream.parse(raw.decode()), raw
 
 
 def _claimed_factor(metric: str, d: int) -> float:
@@ -142,7 +144,7 @@ def cmd_rips_barcode(args) -> int:
 
 
 def cmd_tower_barcode(args) -> int:
-    stream = _load_stream(args.stream)
+    stream, _ = _load_stream(args.stream)
     k = stream.k if args.k is None else min(args.k, stream.k)
     bc = tower_barcode(stream, k)
     info = _emit(bc.to_text(), args.out)
@@ -179,8 +181,8 @@ def cmd_compare(args) -> int:
     return EXIT_OK if cert.passed else EXIT_CHECK_FAILED
 
 
-def _stats_checks(stream: EventStream, points_path: Optional[str], c: Dict[str, int],
-                  ibd: Dict[int, int]):
+def _stats_checks(stream: EventStream, raw: bytes, points_path: Optional[str],
+                  c: Dict[str, int], ibd: Dict[int, int]):
     snap = replay(stream)
     n, d, k = stream.n, stream.d, stream.k
     total_includes = c["I"]
@@ -195,9 +197,10 @@ def _stats_checks(stream: EventStream, points_path: Optional[str], c: Dict[str, 
         sb = simplicial_inclusion_bound(n, d, k)
         if sb is not None:
             add("simplex inclusions <= n*6^(d-1)(2k+4)(k+3)!S(d,k+2)", total_includes, sb)
-        # the final complex is contractible, and a stream capped at k < d
-        # holds its k-skeleton, whose b_k need not vanish
-        final_betti = betti(snap)[:None if k == d else k]
+        # the final complex is contractible, so not empty (reduced b_-1 is
+        # 1 for the empty complex), and a stream capped at k < d holds its
+        # k-skeleton, whose b_k need not vanish
+        final_betti = [int(not snap.live)] + betti(snap)[:None if k == d else k]
         checks.append(("final scale reduced-acyclic", sum(final_betti),
                        0, not any(final_betti)))
     else:
@@ -216,18 +219,18 @@ def _stats_checks(stream: EventStream, points_path: Optional[str], c: Dict[str, 
             rebuilt, audit = build_simplicial_tower(P, k, stream.seed, with_audit=True, **kwargs)
         else:
             rebuilt, audit = build_cubical_tower(P, stream.seed, with_audit=True, **kwargs)
-        checks.append(("rebuild reproduces stream", int(rebuilt == stream), 1,
-                       rebuilt == stream))
+        same = rebuilt.to_text().encode() == raw
+        checks.append(("rebuild reproduces stream", int(same), 1, same))
         add("active-face inclusions <= n*3^d", audit.total_active_inclusions,
             active_inclusion_bound(n, d))
     return checks, snap
 
 
 def cmd_stats(args) -> int:
-    stream = _load_stream(args.stream)
+    stream, raw = _load_stream(args.stream)
     c = stream.counts()
     ibd = stream.includes_by_dim()
-    checks, snap = _stats_checks(stream, args.points, c, ibd)
+    checks, snap = _stats_checks(stream, raw, args.points, c, ibd)
     lines = ["stats: n=%d d=%d k=%d metric=%s seed=%d mode=%s lambda=%.17g m=%d"
              % (stream.n, stream.d, stream.k, stream.metric, stream.seed, stream.mode,
                 stream.lam, stream.m),

@@ -303,6 +303,29 @@ def test_stats_flags_corrupted_stream(tmp_path, capsys):
     assert "FAIL" in report and "result: FAIL" in report
 
 
+def test_stats_points_needs_byte_equality(tmp_path, capsys):
+    pts = write_points(tmp_path, np.random.default_rng(3).uniform(0, 10, (12, 2)))
+    stream = tmp_path / "s.txt"
+    assert main(["tower", pts, "--k", "1", "--out", str(stream)]) == EXIT_OK
+    spaced = tmp_path / "s_sp.txt"
+    spaced.write_text("".join(line + " \n" for line in stream.read_text().splitlines()))
+    capsys.readouterr()
+    assert main(["stats", str(spaced), "--points", pts]) == EXIT_CHECK_FAILED
+    report = capsys.readouterr().out
+    assert "check rebuild reproduces stream: 0 vs 1 FAIL" in report
+    assert main(["stats", str(stream), "--points", pts]) == EXIT_OK
+
+
+def test_stats_fails_empty_final_complex(tmp_path, capsys):
+    # the empty complex is not acyclic: its reduced b_-1 is 1
+    f = tmp_path / "empty.txt"
+    f.write_text("H 3 2 1 linf 0 1 1 simplicial\n")
+    assert main(["stats", str(f)]) == EXIT_CHECK_FAILED
+    report = capsys.readouterr().out
+    assert "live-vertices=0" in report
+    assert "check final scale reduced-acyclic: 1 vs 0 FAIL" in report
+
+
 def test_stats_malformed_exit(tmp_path):
     f = tmp_path / "junk.txt"
     f.write_text("H 1 1 1\n")
