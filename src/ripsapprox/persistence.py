@@ -358,12 +358,12 @@ def _cells_from_simplices(simplices: Sequence[Tuple[float, Tuple[int, ...]]]):
 def reduce(filtration, homology_cap: Optional[int] = None) -> Barcode:
     """Reduced-homology barcode of a filtration; zero-length intervals dropped.
 
-    Accepts a Filtration or a plain list of (value, vertex-tuple). The
-    cap defaults to one below the top cell dimension present, matching a
-    Rips filtration built with one extra dimension.
+    Accepts a Filtration or a plain list of (value, vertex-tuple), and
+    raises ValueError when the values decrease. The cap defaults to one
+    below the top cell dimension present, matching a Rips filtration
+    built with one extra dimension.
     """
-    simplices = list(filtration)
-    cells = _cells_from_simplices(simplices)
+    cells = _cells_from_simplices(Filtration(filtration).simplices)
     if homology_cap is None:
         top = max((c[1] for c in cells), default=0)
         homology_cap = max(top - 1, 0)

@@ -130,6 +130,11 @@ def test_filtration_rejects_decreasing_values():
 # --- reduction ---
 
 
+def test_reduce_rejects_decreasing_plain_list():
+    with pytest.raises(ValueError, match="filtration values decrease"):
+        reduce([(1.0, (0,)), (0.5, (1,)), (0.7, (0, 1))])
+
+
 def test_reduce_two_points():
     bc = reduce(rips_filtration(PointCloud([0.0, 1.0]), "linf", 1))
     assert bc.intervals(0) == [(0.0, 0.5)]
