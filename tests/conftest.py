@@ -1,8 +1,20 @@
+import os
+from pathlib import Path
+
 import numpy as np
 from hypothesis import strategies as st
 
 from ripsapprox.geometry import PointCloud
 from ripsapprox.tower import build_cubical_tower, build_simplicial_tower
+
+
+def cli_env():
+    """Environment for a `python -m ripsapprox.cli` subprocess: `src`
+    first on its path, as pyproject.toml puts it first on pytest's, so
+    the subprocess runs the same code uninstalled."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
 def random_cloud(seed, n, d, box=10.0):

@@ -42,7 +42,7 @@ from ripsapprox.tower import (
     survival_experiment,
 )
 
-from conftest import random_cloud
+from conftest import cli_env, random_cloud
 
 
 def report(capsys, num, ok, detail):
@@ -401,11 +401,11 @@ def test_criterion_11_smoke_budget(tmp_path, capsys):
     p1 = subprocess.run(
         [sys.executable, "-m", "ripsapprox.cli", "tower", str(pts), "--mode", "cubical",
          "--k", "2", "--seed", "0", "--out", str(stream)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=cli_env())
     p2 = subprocess.run(
         [sys.executable, "-m", "ripsapprox.cli", "stats", str(stream),
          "--points", str(pts)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=cli_env())
     elapsed = time.monotonic() - t0
     ok = p1.returncode == 0 and p2.returncode == 0 and elapsed < 60.0
     report(capsys, 11, ok,

@@ -19,7 +19,7 @@ from ripsapprox.cli import (
 from ripsapprox.persistence import Barcode
 from ripsapprox.tower import EventStream
 
-from conftest import mutated_stream, random_cloud
+from conftest import cli_env, mutated_stream, random_cloud
 
 
 def write_points(tmp_path, rows, name="pts.txt"):
@@ -437,6 +437,6 @@ def test_out_path_io_error(tmp_path):
 def test_module_entrypoint_runs(tmp_path):
     pts = write_points(tmp_path, [[0.0], [1.0]])
     proc = subprocess.run([sys.executable, "-m", "ripsapprox.cli", "rips-barcode", pts],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=cli_env())
     assert proc.returncode == 0
     assert proc.stdout == "0 0 0.5\n"

@@ -125,14 +125,12 @@ def test_rips_guardrail_and_validation():
 def test_filtration_rejects_decreasing_values():
     with pytest.raises(ValueError):
         Filtration([(1.0, (0,)), (0.5, (1,))])
+    # reduce runs the same check on a plain list
+    with pytest.raises(ValueError, match="filtration values decrease"):
+        reduce([(1.0, (0,)), (0.5, (1,)), (0.7, (0, 1))])
 
 
 # --- reduction ---
-
-
-def test_reduce_rejects_decreasing_plain_list():
-    with pytest.raises(ValueError, match="filtration values decrease"):
-        reduce([(1.0, (0,)), (0.5, (1,)), (0.7, (0, 1))])
 
 
 def test_reduce_two_points():
