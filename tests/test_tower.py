@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -29,9 +30,9 @@ from ripsapprox.tower import (
     survival_experiment,
     _chains_ending,
 )
-from ripsapprox.persistence import tower_barcode
+from ripsapprox.persistence import coning_oracle, tower_barcode
 
-from conftest import mutated_stream, random_cloud
+from conftest import MUTATIONS, mutated_stream, random_cloud
 
 
 # --- scale ladder ---
@@ -487,6 +488,51 @@ def test_mutated_streams_end_in_malformed_stream_or_a_result(text):
     if stream.mode == "simplicial":
         # both read the stream through the same validating walk
         assert accepted[0] == accepted[1]
+
+
+# SHA-256 of the outcome list below; re-pin only for an intended change
+# of what the walk accepts or of a barcode, in a commit of its own
+MUTATION_OUTCOMES_SHA256 = "34ce877bf662c7d4a474827f76639867bbed94f9e795a22c12c35a4158a5e048"
+
+
+def _accepts(read, stream):
+    try:
+        read(stream)
+    except MalformedStream:
+        return False
+    return True
+
+
+def test_mutation_outcomes_are_pinned():
+    """Every one-line mutation of the fuzz bases, in MUTATIONS order, ends
+    "rejected" or in replay's live and cell counts plus, for simplicial
+    streams, the tower barcode. The engines agree where the oracle applies."""
+    outcomes = []
+    for text in MUTATIONS:
+        try:
+            stream = EventStream.parse(text)
+        except MalformedStream:
+            outcomes.append("rejected")
+            continue
+        simplicial = stream.mode == "simplicial"
+        accepted = _accepts(replay, stream)
+        if simplicial:
+            assert _accepts(tower_barcode, stream) == accepted, text
+        if not accepted:
+            outcomes.append("rejected")
+            continue
+        snap = replay(stream)
+        outcome = "%d %d" % (len(snap.live), len(snap.cells))
+        if simplicial:
+            bc = tower_barcode(stream, stream.k)
+            outcome += "\n" + bc.to_text()
+            scales = stream.scale_values()
+            if len(set(scales)) == len(scales):
+                assert coning_oracle(stream, stream.k) == bc, text
+        outcomes.append(outcome)
+    assert len(outcomes) == 1826
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+    assert digest == MUTATION_OUTCOMES_SHA256
 
 
 # --- counting helpers ---
