@@ -7,7 +7,9 @@ ratio(0,0) = ratio(inf,inf) = 1, and mixed zero/inf pairs costing inf.
 Deleting [b,d) costs sqrt(d/b), the scale factor that shrinks the
 interval to nothing. The distance is the minimax cost over partial
 matchings; a multiplicative c-interleaving of two filtrations bounds it
-by c.
+by c. Bars born at 0 and bars that never die cannot be deleted; each
+such group is matched in sorted order, and only the rest goes through
+the matching search.
 """
 
 from __future__ import annotations
@@ -111,10 +113,28 @@ def _feasible(c: float, nA: int, nB: int, pair, delA, delB) -> bool:
     return True
 
 
+def _split(intervals: List[Interval]) -> Tuple[List[Interval], ...]:
+    """Sorted (birth-0 bars, death-inf bars, the rest): the first two
+    groups cannot be deleted, and no pair across groups has a finite cost."""
+    groups: Tuple[List[Interval], ...] = ([], [], [])
+    for iv in sorted(intervals):
+        if not 0.0 <= iv[0] <= iv[1]:
+            raise ValueError("interval needs 0 <= birth <= death: %r" % (iv,))
+        groups[2 if deletion_cost(iv) < INF else 0 if iv[0] == 0.0 else 1].append(iv)
+    return groups
+
+
 def _bottleneck_lists(A: List[Interval], B: List[Interval]) -> float:
+    *fixedA, A = _split(A)
+    *fixedB, B = _split(B)
+    # a group that cannot be deleted varies in one endpoint only, and a
+    # ratio grows as its values part, so sorted order is an optimal matching
+    fixed = 1.0
+    for X, Y in zip(fixedA, fixedB):
+        if len(X) != len(Y):
+            return INF
+        fixed = max(fixed, max(map(ratio_cost, X, Y), default=1.0))
     nA, nB = len(A), len(B)
-    if nA == 0 and nB == 0:
-        return 1.0
     pair = [[ratio_cost(a, b) for b in B] for a in A]
     delA = [deletion_cost(a) for a in A]
     delB = [deletion_cost(b) for b in B]
@@ -132,7 +152,7 @@ def _bottleneck_lists(A: List[Interval], B: List[Interval]) -> float:
             hi = mid
         else:
             lo = mid + 1
-    return cands[lo]
+    return max(fixed, cands[lo])
 
 
 def _per_dim(bc1: Barcode, bc2: Barcode) -> Dict[int, float]:

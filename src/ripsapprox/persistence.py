@@ -64,8 +64,8 @@ class Barcode:
         return sum(len(v) for v in self._ivals.values())
 
     def scaled(self, factor: float) -> "Barcode":
-        if factor <= 0:
-            raise ValueError("factor must be positive")
+        if not (math.isfinite(factor) and factor > 0):
+            raise ValueError("factor must be finite and positive")
         out = Barcode()
         for p, lst in self._ivals.items():
             for b, d in lst:

@@ -43,6 +43,7 @@ from ripsapprox.tower import (
 )
 
 from conftest import cli_env, random_cloud
+from test_diagram import _bottleneck_whole_list
 
 
 def report(capsys, num, ok, detail):
@@ -79,7 +80,12 @@ def approximation_sweep():
                     rbc = reduce_filtration(rips_filtration(P, metric, 1),
                                             homology_cap=1)
                     claim = 2.0 if metric == "linf" else 2.0 * d ** 0.25
-                    cert = certify_approximation(tbc.scaled(claim / 4.0), rbc, claim)
+                    balanced = tbc.scaled(claim / 4.0)
+                    cert = certify_approximation(balanced, rbc, claim)
+                    # the grouped matching equals the whole-list search
+                    for p, c in cert.per_dim.items():
+                        assert c == _bottleneck_whole_list(balanced.intervals(p),
+                                                           rbc.intervals(p)), (n, d, seed, p)
                     rows.append((n, d, seed, metric, claim, cert))
     return rows
 
