@@ -7,9 +7,9 @@ ratio(0,0) = ratio(inf,inf) = 1, and mixed zero/inf pairs costing inf.
 Deleting [b,d) costs sqrt(d/b), the scale factor that shrinks the
 interval to nothing. The distance is the minimax cost over partial
 matchings; a multiplicative c-interleaving of two filtrations bounds it
-by c. Bars born at 0 and bars that never die cannot be deleted; each
-such group is matched in sorted order, and only the rest goes through
-the matching search.
+by c. Bars born at 0 and bars that never die cannot be deleted; they
+are matched in sorted order, and only the rest goes through the
+matching search.
 """
 
 from __future__ import annotations
@@ -113,27 +113,28 @@ def _feasible(c: float, nA: int, nB: int, pair, delA, delB) -> bool:
     return True
 
 
-def _split(intervals: List[Interval]) -> Tuple[List[Interval], ...]:
-    """Sorted (birth-0 bars, death-inf bars, the rest): the first two
-    groups cannot be deleted, and no pair across groups has a finite cost."""
-    groups: Tuple[List[Interval], ...] = ([], [], [])
+def _split(intervals: List[Interval]) -> Tuple[List[Interval], List[Interval]]:
+    """Sorted (bars that cannot be deleted, the rest)."""
+    fixed: List[Interval] = []
+    rest: List[Interval] = []
     for iv in sorted(intervals):
         if not 0.0 <= iv[0] <= iv[1]:
             raise ValueError("interval needs 0 <= birth <= death: %r" % (iv,))
-        groups[2 if deletion_cost(iv) < INF else 0 if iv[0] == 0.0 else 1].append(iv)
-    return groups
+        (rest if deletion_cost(iv) < INF else fixed).append(iv)
+    return fixed, rest
 
 
 def _bottleneck_lists(A: List[Interval], B: List[Interval]) -> float:
-    *fixedA, A = _split(A)
-    *fixedB, B = _split(B)
-    # a group that cannot be deleted varies in one endpoint only, and a
-    # ratio grows as its values part, so sorted order is an optimal matching
-    fixed = 1.0
-    for X, Y in zip(fixedA, fixedB):
-        if len(X) != len(Y):
-            return INF
-        fixed = max(fixed, max(map(ratio_cost, X, Y), default=1.0))
+    fixedA, A = _split(A)
+    fixedB, B = _split(B)
+    # A bar that cannot be deleted is born at 0 or never dies, and costs
+    # inf against a bar of the other kind. Sorted, the born-at-0 bars come
+    # first by death, then the later-born ones by birth. A ratio grows as
+    # its values part, so pairing the sorted lists in order is optimal; it
+    # pairs across kinds (inf) exactly when their counts differ.
+    if len(fixedA) != len(fixedB):
+        return INF
+    fixed = max(map(ratio_cost, fixedA, fixedB), default=1.0)
     nA, nB = len(A), len(B)
     pair = [[ratio_cost(a, b) for b in B] for a in A]
     delA = [deletion_cost(a) for a in A]
