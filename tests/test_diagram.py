@@ -219,8 +219,8 @@ def test_bottleneck_matches_recursive_reference(monkeypatch):
 
 
 def _bottleneck_whole_list(A, B):
-    """Reference: the binary search over every interval at once, before
-    the bars that cannot be deleted were split off and sorted."""
+    """Reference: the binary search over every interval at once, with no
+    sorted matching for the bars that cannot be deleted."""
     nA, nB = len(A), len(B)
     if nA == 0 and nB == 0:
         return 1.0

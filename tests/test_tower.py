@@ -475,9 +475,9 @@ def test_replay_cubical_arity():
 MUTATION_OUTCOMES_SHA256 = "34ce877bf662c7d4a474827f76639867bbed94f9e795a22c12c35a4158a5e048"
 
 
-def _read_or_none(read, stream):
+def _read_or_none(read, arg):
     try:
-        return read(stream)
+        return read(arg)
     except MalformedStream:
         return None
 
@@ -490,8 +490,8 @@ def test_mutation_outcomes_are_pinned():
     outcomes = []
     for text in MUTATIONS:
         stream = _read_or_none(EventStream.parse, text)
-        snap = stream and _read_or_none(replay, stream)
-        if stream and stream.mode == "simplicial":
+        snap = None if stream is None else _read_or_none(replay, stream)
+        if stream is not None and stream.mode == "simplicial":
             bc = _read_or_none(tower_barcode, stream)
             assert (bc is None) == (snap is None), text
         if snap is None:
