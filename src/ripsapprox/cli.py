@@ -83,10 +83,6 @@ def _emit(primary: str, out_path: Optional[str]):
     return sys.stderr
 
 
-def _load_points(path: str) -> PointCloud:
-    return PointCloud.from_file(path)
-
-
 def _load_stream(path: str) -> Tuple[EventStream, bytes]:
     """The parsed stream and the bytes of its file."""
     with open(path, "rb") as fh:
@@ -108,7 +104,7 @@ def _barcode_summary(info, bc: Barcode) -> None:
 
 
 def cmd_tower(args) -> int:
-    P = _load_points(args.points)
+    P = PointCloud.from_file(args.points)
     seed = _resolve_seed(args)
     _guard(n=P.n, d=P.d, k=args.k)
     if args.k < 0:
@@ -133,7 +129,7 @@ def cmd_tower(args) -> int:
 
 
 def cmd_rips_barcode(args) -> int:
-    P = _load_points(args.points)
+    P = PointCloud.from_file(args.points)
     _guard(n=P.n, d=P.d, k=args.k)
     bc = rips_barcode(P, args.metric, args.k, max_simplices=args.guard_cells)
     info = _emit(bc.to_text(), args.out)
@@ -155,7 +151,7 @@ def cmd_tower_barcode(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    P = _load_points(args.points)
+    P = PointCloud.from_file(args.points)
     seed = _resolve_seed(args)
     _guard(n=P.n, d=P.d, k=args.k)
     k = args.k
@@ -213,7 +209,7 @@ def _stats_checks(stream: EventStream, raw: bytes, points_path: Optional[str],
 
     audit = None
     if points_path is not None:
-        P = _load_points(points_path)
+        P = PointCloud.from_file(points_path)
         kwargs = dict(metric=stream.metric, lam=stream.lam, max_scales=stream.m)
         if stream.mode == "simplicial":
             rebuilt, audit = build_simplicial_tower(P, k, stream.seed, with_audit=True, **kwargs)

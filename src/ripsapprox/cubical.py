@@ -11,6 +11,7 @@ at that scale.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, Iterable, List, Set
 
 from .geometry import PointCloud
@@ -18,6 +19,8 @@ from .lattice import (
     MAX_DIM,
     Face,
     GridFrame,
+    _corners,
+    _submasks,
     face_vertices,
     facets,
     locate,
@@ -25,7 +28,6 @@ from .lattice import (
 )
 
 __all__ = [
-    "ActiveVertexMap",
     "CubicalComplex",
     "active_vertices",
     "is_spanned",
@@ -36,48 +38,13 @@ __all__ = [
     "incident_faces",
 ]
 
-ACTIVE = "active"
-SECONDARY = "secondary"
+
+def active_vertices(frame: GridFrame, P: PointCloud) -> Set[Face]:
+    """The grid vertices (0-faces) whose cells hold at least one point."""
+    return {locate(frame, p) for p in P.points}
 
 
-class ActiveVertexMap:
-    """Grid vertex (0-face) -> sorted list of point ids located in its cell."""
-
-    def __init__(self, s: int, mapping: Dict[Face, List[int]]):
-        self.s = s
-        self.mapping = {v: sorted(ids) for v, ids in mapping.items()}
-        for v, ids in self.mapping.items():
-            if not ids:
-                raise ValueError("active vertex %r with no points" % (v,))
-
-    def __contains__(self, v: Face) -> bool:
-        return v in self.mapping
-
-    def __len__(self) -> int:
-        return len(self.mapping)
-
-    def __iter__(self):
-        return iter(self.mapping)
-
-    def items(self):
-        return self.mapping.items()
-
-    def points_of(self, v: Face) -> List[int]:
-        return self.mapping[v]
-
-    def section(self, v: Face) -> int:
-        """The representative point of an active vertex (minimum id)."""
-        return self.points_of(v)[0]
-
-
-def active_vertices(frame: GridFrame, P: PointCloud) -> ActiveVertexMap:
-    mapping: Dict[Face, List[int]] = {}
-    for pid in range(P.n):
-        mapping.setdefault(locate(frame, P.points[pid]), []).append(pid)
-    return ActiveVertexMap(frame.s, mapping)
-
-
-def is_spanned(f: Face, V: ActiveVertexMap) -> bool:
+def is_spanned(f: Face, V: Set[Face]) -> bool:
     """Nonempty vertex trace not contained in any facet of f.
 
     Equivalently: for every extent direction some two active vertices of
@@ -96,27 +63,20 @@ def is_spanned(f: Face, V: ActiveVertexMap) -> bool:
 def incident_faces(v: Face, directions: Iterable[int]) -> Iterable[Face]:
     """Faces incident to the vertex v whose mask lies inside `directions`.
 
-    Per allowed direction the face either skips it or extends from v or
-    from v-1; with all d directions this enumerates the full 3^d star.
+    A face with mask M is incident to v exactly when its anchor is a
+    corner of the M-box anchored at v - e_M; with all d directions this
+    enumerates the full 3^d star.
     """
-    dirs = list(directions)
-
-    def rec(idx, anchor, mask):
-        if idx == len(dirs):
-            yield Face(v.s, tuple(anchor), mask)
-            return
-        i = dirs[idx]
-        yield from rec(idx + 1, anchor, mask)
-        a2 = list(anchor)
-        yield from rec(idx + 1, a2, mask | (1 << i))
-        a3 = list(anchor)
-        a3[i] -= 1
-        yield from rec(idx + 1, a3, mask | (1 << i))
-
-    yield from rec(0, list(v.anchor), 0)
+    allowed = 0
+    for i in directions:
+        allowed |= 1 << i
+    for mask in _submasks(allowed):
+        low = tuple([x - (mask >> i & 1) for i, x in enumerate(v.anchor)])
+        for c in _corners(low, mask).values():
+            yield Face(v.s, c, mask)
 
 
-def spanned_faces(frame: GridFrame, V: ActiveVertexMap) -> Set[Face]:
+def spanned_faces(frame: GridFrame, V: Set[Face]) -> Set[Face]:
     """All faces of the grid spanned by the active vertices.
 
     A face is spanned exactly when it is the bounding box of a nonempty
@@ -163,7 +123,7 @@ def spanned_faces(frame: GridFrame, V: ActiveVertexMap) -> Set[Face]:
     return out
 
 
-def spanned_faces_bruteforce(frame: GridFrame, V: ActiveVertexMap) -> Set[Face]:
+def spanned_faces_bruteforce(frame: GridFrame, V: Set[Face]) -> Set[Face]:
     """Unpruned reference: full 3^d star of every active vertex."""
     out: Set[Face] = set()
     for v in V:
@@ -174,67 +134,67 @@ def spanned_faces_bruteforce(frame: GridFrame, V: ActiveVertexMap) -> Set[Face]:
 
 
 class CubicalComplex:
-    """A face-closed set of elementary cubes with active/secondary flags."""
+    """A face-closed set of elementary cubes. The faces in `active` (the
+    spanned ones) are active; every other face is secondary."""
 
-    def __init__(self, s: int, flags: Dict[Face, str]):
+    def __init__(self, s: int, faces: Iterable[Face], active: Iterable[Face]):
         self.s = s
-        self.flags = flags
+        # face -> whether it is active, in one dict: a face set plus an
+        # active set takes more memory, and a build keeps every complex
+        self._active = dict.fromkeys(faces, False)
+        n = len(self._active)
+        self._active.update(dict.fromkeys(active, True))
+        if len(self._active) != n:
+            raise ValueError("active faces outside the complex")
+        # sorted one dimension at a time: one sort over every face with
+        # (dim, anchor, mask) keys raised the peak RSS of a build
         by_dim: Dict[int, List[Face]] = {}
-        for f in flags:
+        for f in self._active:
             by_dim.setdefault(f.dim, []).append(f)
-        for p in by_dim:
-            by_dim[p].sort(key=lambda f: (f.anchor, f.mask))
-        self._by_dim = by_dim
+        self._order = [f for p in sorted(by_dim)
+                       for f in sorted(by_dim[p], key=lambda f: (f.anchor, f.mask))]
 
     @property
     def dim(self) -> int:
-        return max(self._by_dim) if self._by_dim else -1
+        return self._order[-1].dim if self._order else -1
 
     def __contains__(self, f: Face) -> bool:
-        return f in self.flags
+        return f in self._active
 
     def __len__(self) -> int:
-        return len(self.flags)
+        return len(self._active)
 
     def faces(self) -> List[Face]:
         """All faces in canonical (dim, anchor, mask) order."""
-        out = []
-        for p in sorted(self._by_dim):
-            out.extend(self._by_dim[p])
-        return out
+        return list(self._order)
 
     def faces_of_dim(self, p: int) -> List[Face]:
-        return list(self._by_dim.get(p, []))
+        return [f for f in self._order if f.dim == p]
 
     def active_faces(self) -> List[Face]:
-        return [f for f in self.faces() if self.flags[f] == ACTIVE]
+        return [f for f in self._order if self._active[f]]
 
     def secondary_faces(self) -> List[Face]:
-        return [f for f in self.faces() if self.flags[f] == SECONDARY]
+        return [f for f in self._order if not self._active[f]]
 
     def is_active(self, f: Face) -> bool:
-        return self.flags[f] == ACTIVE
+        return self._active[f]
 
     def verify_closed(self) -> None:
-        for f in self.flags:
+        for f in self._active:
             for g in subfaces(f):
-                if g not in self.flags:
+                if g not in self._active:
                     raise AssertionError("complex not closed: %r misses %r" % (f, g))
 
 
 def closure(spanned: Iterable[Face]) -> CubicalComplex:
-    """Close a spanned-face set downward; non-spanned faces get flagged secondary."""
+    """Close a spanned-face set downward; the added faces are secondary."""
     spanned = set(spanned)
     scales = {f.s for f in spanned}
     if len(scales) > 1:
         raise ValueError("faces from multiple scales")
     s = scales.pop() if scales else 0
-    flags: Dict[Face, str] = {f: ACTIVE for f in spanned}
-    for f in spanned:
-        for g in subfaces(f, proper=True):
-            if g not in flags:
-                flags[g] = SECONDARY
-    return CubicalComplex(s, flags)
+    return CubicalComplex(s, chain.from_iterable(map(subfaces, spanned)), spanned)
 
 
 def cubical_boundary(U: CubicalComplex, p: int):

@@ -138,7 +138,7 @@ class Face(NamedTuple):
 
     @property
     def dim(self) -> int:
-        return bin(self.mask).count("1")
+        return self.mask.bit_count()
 
     @property
     def d(self) -> int:

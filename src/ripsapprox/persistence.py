@@ -38,6 +38,11 @@ __all__ = [
 INF = math.inf
 
 
+def _check_bar(birth: float, death: float) -> None:
+    if not 0.0 <= birth <= death:
+        raise ValueError("bar needs 0 <= birth <= death: %r" % ((birth, death),))
+
+
 class Barcode:
     """Per homology dimension, a multiset of [birth, death) intervals."""
 
@@ -46,8 +51,11 @@ class Barcode:
         if intervals:
             for p, lst in intervals.items():
                 self._ivals[p] = sorted(lst)
+                for b, d in self._ivals[p]:
+                    _check_bar(b, d)
 
     def add(self, p: int, birth: float, death: float) -> None:
+        _check_bar(birth, death)
         self._ivals.setdefault(p, []).append((birth, death))
 
     def sort(self) -> None:
@@ -89,10 +97,10 @@ class Barcode:
             parts = line.split()
             if len(parts) != 3:
                 raise ValueError("line %d: expected 'p birth death'" % lineno)
-            p = int(parts[0])
-            b = float(parts[1])
-            d = INF if parts[2] == "inf" else float(parts[2])
-            out.add(p, b, d)
+            try:
+                out.add(int(parts[0]), float(parts[1]), float(parts[2]))
+            except ValueError as exc:
+                raise ValueError("line %d: %s" % (lineno, exc)) from None
         out.sort()
         return out
 

@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
-from .cubical import ActiveVertexMap, CubicalComplex, active_vertices, closure, spanned_faces
+from .cubical import CubicalComplex, active_vertices, closure, spanned_faces
 from .geometry import METRICS, PointCloud, closest_pair, diameter
 from .lattice import (
     MAX_DIM,
@@ -335,10 +335,7 @@ def _build_tower(P: PointCloud, k: int, seed: int, metric: str, mode: str,
             eps = shifts.signs(s - 1)
             image = {f: Face(s, *_face_image(f.anchor, f.mask, eps)) for f in faces}
             # the active vertices are the images of the previous ones
-            pushed: Dict[Face, List[int]] = {}
-            for v, ids in V.items():
-                pushed.setdefault(image[v], []).extend(ids)
-            V = ActiveVertexMap(s, pushed)
+            V = {image[v] for v in V}
         U = closure(spanned_faces(frame, V))
 
         group: List = []

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ripsapprox.cubical import (
-    ActiveVertexMap,
     CubicalComplex,
     active_vertices,
     closure,
@@ -16,6 +15,7 @@ from ripsapprox.geometry import PointCloud
 from ripsapprox.lattice import (
     MAX_DIM,
     Face,
+    face_vertices,
     GridFrame,
     ShiftSequence,
     build_frames,
@@ -34,7 +34,7 @@ def frames_fixed(lam, signs):
 
 
 def vmap(s, assignment):
-    return ActiveVertexMap(s, {Face(s, tuple(z), 0): list(ids) for z, ids in assignment.items()})
+    return {Face(s, tuple(z), 0) for z in assignment}
 
 
 # --- active vertices ---
@@ -42,32 +42,15 @@ def vmap(s, assignment):
 
 def test_active_vertices_examples():
     fr = frames_fixed(1.0, [(1,)])[0]
-    V = active_vertices(fr, PointCloud([0.1]))
-    assert dict(V.items()) == {Face(0, (0,), 0): [0]}
-
-    V = active_vertices(fr, PointCloud([0.1, 0.2]))
-    assert dict(V.items()) == {Face(0, (0,), 0): [0, 1]}
-
-    V = active_vertices(fr, PointCloud([0.1, 1.9]))
-    assert dict(V.items()) == {Face(0, (0,), 0): [0], Face(0, (2,), 0): [1]}
+    assert active_vertices(fr, PointCloud([0.1])) == {Face(0, (0,), 0)}
+    assert active_vertices(fr, PointCloud([0.1, 0.2])) == {Face(0, (0,), 0)}
+    assert active_vertices(fr, PointCloud([0.1, 1.9])) == {Face(0, (0,), 0), Face(0, (2,), 0)}
 
 
 def test_active_vertices_partition_and_section():
     P = random_cloud(0, 9, 2)
     fr = frames_fixed(0.8, [(1, -1)])[0]
-    V = active_vertices(fr, P)
-    seen = sorted(pid for _, ids in V.items() for pid in ids)
-    assert seen == list(range(P.n))
-    for z, ids in V.items():
-        assert ids == sorted(ids)
-        assert V.section(z) == ids[0]
-        for pid in ids:
-            assert locate(fr, P.points[pid]) == z
-
-
-def test_active_vertex_map_rejects_empty_lists():
-    with pytest.raises(ValueError):
-        ActiveVertexMap(0, {Face(0, (0, 0), 0): []})
+    assert active_vertices(fr, P) == {locate(fr, p) for p in P.points}
 
 
 # --- spanning test ---
@@ -140,6 +123,15 @@ def test_incident_faces_counts():
     assert sum(1 for f in star if f.dim == 3) == 8
     sub = list(incident_faces(Face(0, (0, 0, 0), 0), [1]))
     assert len(sub) == 3
+    for d in range(1, 5):
+        v = Face(2, tuple(range(3, 3 + d)), 0)
+        for allowed in range(1 << d):
+            dirs = [i for i in range(d) if allowed >> i & 1]
+            faces = list(incident_faces(v, dirs))
+            assert len(set(faces)) == len(faces) == 3 ** len(dirs)
+            for f in faces:
+                assert f.s == v.s and not f.mask & ~allowed
+                assert v in face_vertices(f)
 
 
 # --- closure and flags ---
@@ -189,9 +181,15 @@ def test_complex_accessors_and_order():
 
 
 def test_verify_closed_catches_gaps():
-    broken = CubicalComplex(0, {Face(0, (0,), 1): "active"})
+    edge = Face(0, (0,), 1)
+    broken = CubicalComplex(0, {edge}, {edge})
     with pytest.raises(AssertionError):
         broken.verify_closed()
+
+
+def test_complex_rejects_active_faces_outside_it():
+    with pytest.raises(ValueError):
+        CubicalComplex(0, {Face(0, (0,), 0)}, {Face(0, (1,), 0)})
 
 
 # --- boundary operator ---
@@ -264,16 +262,11 @@ def test_push_equals_relocate():
         frames, levels = _complexes_for(P, 0.7, signs)
         for s in range(4):
             V, _ = levels[s]
-            pushed = {}
-            for v, ids in V.items():
-                y = vertex_map_g(frames, s, v)
-                pushed.setdefault(y, []).extend(ids)
-            pushed = {z: sorted(v) for z, v in pushed.items()}
-            assert pushed == dict(levels[s + 1][0].items())
+            assert {vertex_map_g(frames, s, v) for v in V} == levels[s + 1][0]
 
 
 def test_section_composes_with_vertex_map():
-    # mapping an active vertex = relocating its representative point
+    # mapping the vertex of any point of a cell = relocating that point
     rng = np.random.default_rng(29)
     for trial in range(10):
         d = int(rng.integers(1, 4))
@@ -281,11 +274,8 @@ def test_section_composes_with_vertex_map():
         signs = [tuple(rng.choice((-1, 1), d)) for _ in range(3)]
         frames, levels = _complexes_for(P, 1.1, signs)
         for s in range(3):
-            V, _ = levels[s]
-            for z in V:
-                got = vertex_map_g(frames, s, locate(frames[s], P.points[V.section(z)]))
-                want = locate(frames[s + 1], P.points[V.section(z)])
-                assert got == want
+            for p in P.points:
+                assert vertex_map_g(frames, s, locate(frames[s], p)) == locate(frames[s + 1], p)
 
 
 def test_active_faces_map_to_active_faces():

@@ -103,8 +103,8 @@ def test_bottleneck_rejects_invalid_intervals():
             multiplicative_bottleneck(Barcode({0: [bad]}), Barcode())
         with pytest.raises(ValueError):
             certify_approximation(Barcode(), Barcode({0: [bad]}), 1.0)
-    nan_bc = Barcode.parse("0 nan 1\n")
     with pytest.raises(ValueError):
+        nan_bc = Barcode.parse("0 nan 1\n")
         multiplicative_bottleneck(nan_bc, nan_bc)
 
 

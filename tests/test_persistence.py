@@ -76,8 +76,20 @@ def test_barcode_text_roundtrip():
 def test_barcode_parse_errors():
     with pytest.raises(ValueError):
         Barcode.parse("0 1\n")
+    with pytest.raises(ValueError, match="line 2: "):
+        Barcode.parse("0 0 1\nzero 1 2\n")
+
+
+def test_barcode_rejects_invalid_bars():
+    # NaN, reversed and negative bars, each named by its line
+    for lineno, bad in enumerate(("0 nan 1", "0 2 1", "0 -1 2"), start=1):
+        with pytest.raises(ValueError, match="line %d: " % lineno):
+            Barcode.parse("0 0 1\n" * (lineno - 1) + bad + "\n")
     with pytest.raises(ValueError):
-        Barcode.parse("zero 1 2\n")
+        Barcode({0: [(2.0, 1.0)]})
+    with pytest.raises(ValueError):
+        Barcode().add(1, 0.0, math.nan)
+    assert Barcode({0: [(0.0, 0.0), (1.0, INF)]}).total() == 2
 
 
 # --- Rips filtrations ---
@@ -247,12 +259,10 @@ def test_betti_two_isolated_vertices():
 
 
 def test_betti_hollow_square_cubical():
-    flags = {}
-    for anchor, mask in (((0, 0), 0b01), ((0, 1), 0b01), ((0, 0), 0b10), ((1, 0), 0b10)):
-        flags[Face(0, anchor, mask)] = "active"
-    for z in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        flags[Face(0, z, 0)] = "secondary"
-    U = CubicalComplex(0, flags)
+    edges = {Face(0, anchor, mask)
+             for anchor, mask in (((0, 0), 0b01), ((0, 1), 0b01), ((0, 0), 0b10), ((1, 0), 0b10))}
+    corners = {Face(0, z, 0) for z in ((0, 0), (1, 0), (0, 1), (1, 1))}
+    U = CubicalComplex(0, edges | corners, edges)
     U.verify_closed()
     assert betti(U) == [0, 1]
 
