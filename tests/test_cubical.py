@@ -15,11 +15,11 @@ from ripsapprox.geometry import PointCloud
 from ripsapprox.lattice import (
     MAX_DIM,
     Face,
-    face_vertices,
     GridFrame,
     ShiftSequence,
     build_frames,
     face_map_g,
+    face_vertices,
     locate,
     vertex_map_g,
 )
