@@ -14,7 +14,7 @@ from ripsapprox.cli import main
 
 from conftest import random_cloud
 
-# point file name -> random_cloud(seed, n, d)
+# point file name -> random_cloud(seed, n, d) [+ shift of every coordinate]
 CLOUDS = {
     "d1": (11, 10, 1),
     "d2": (12, 12, 2),
@@ -26,7 +26,19 @@ CLOUDS = {
     # set 0 of the perfbench tower workloads
     "bench_n160": (0, 160, 2),
     "bench_d6": (0, 45, 6),
+    "d8": (15, 8, 8),
+    # shifted by -1e12: every anchor is negative and needs a wide field
+    "d3_far": (16, 10, 3, -1e12),
 }
+
+# point file name -> literal rows
+FIXED = {
+    # the two points of test_cli.py::test_ladder_past_two_to_the_1023
+    "pair_d1": [[-1.0], [1.0]],
+}
+
+# lambda*2^1024 = 3 covers the pair's diameter 2, so m = 1024
+LAM_M1024 = "%.17g" % (1.5 * 2.0 ** -1023)
 
 # output name -> CLI arguments, run in this order with `--out <name>`;
 # "{x}" is the point file or earlier output called x
@@ -62,6 +74,12 @@ RUNS = [
     ("tower_barcode_bench_n160", ["tower-barcode", "{tower_bench_n160_k2}", "--k", "1"]),
     ("tower_bench_d6_cubical", ["tower", "{bench_d6}", "--mode", "cubical", "--seed", "0"]),
     ("stats_bench_d6_cubical", ["stats", "{tower_bench_d6_cubical}"]),
+    ("tower_d8_cubical", ["tower", "{d8}", "--mode", "cubical", "--seed", "3"]),
+    ("stats_d8_cubical_points", ["stats", "{tower_d8_cubical}", "--points", "{d8}"]),
+    ("tower_d3_far_k2", ["tower", "{d3_far}", "--k", "2", "--seed", "3"]),
+    ("tower_m1024_simplicial", ["tower", "{pair_d1}", "--lambda", LAM_M1024,
+                                "--mode", "simplicial"]),
+    ("tower_m1024_cubical", ["tower", "{pair_d1}", "--lambda", LAM_M1024, "--mode", "cubical"]),
 ]
 
 # output name -> (exit code, SHA-256 of the output file)
@@ -95,6 +113,11 @@ GOLDEN = {
     "tower_barcode_bench_n160": (0, "9519c30aa350494439ac90462179ee9a15047b710d10464e48e7cd5591cb76ec"),
     "tower_bench_d6_cubical": (0, "dd966cb97b56932d3996e59097a5348645c542395a8d8d00309fd784ad2b7b93"),
     "stats_bench_d6_cubical": (0, "e49cf7ac8011437d948983f8daa7055a39763aa610e7ba3610631d0b2e47bf6a"),
+    "tower_d8_cubical": (0, "0234827a237b3e67df4c1021fc84ff3d71e01815273775a7d1fa7ffc9009559c"),
+    "stats_d8_cubical_points": (0, "8702d59344a5b1f5d0124347573b7463ce4d20e796391763b9d46350570bf310"),
+    "tower_d3_far_k2": (0, "e6121a84cdaceb81a17eda5b203123ab8da0b262a529d6192dd95ddf237b56f1"),
+    "tower_m1024_simplicial": (0, "4507213348f89c1d7b6eaa14b859856a9e50bcad31e1e7cb213744b2f309f2ae"),
+    "tower_m1024_cubical": (0, "950c6c7afdd408e4598994744ac072993d221e1a9f9bf5f4935a8c207805271a"),
 }
 
 
@@ -102,9 +125,10 @@ GOLDEN = {
 def outputs(tmp_path_factory):
     work = tmp_path_factory.mktemp("golden")
     paths = {}
-    for name, (seed, n, d) in CLOUDS.items():
+    clouds = {name: random_cloud(*args[:3]).points + (args[3] if len(args) > 3 else 0.0)
+              for name, args in CLOUDS.items()}
+    for name, rows in {**clouds, **FIXED}.items():
         f = work / (name + ".txt")
-        rows = random_cloud(seed, n, d).points
         f.write_text("\n".join(" ".join("%.17g" % x for x in row) for row in rows) + "\n")
         paths[name] = str(f)
     out = {}
