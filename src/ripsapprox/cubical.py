@@ -11,7 +11,6 @@ at that scale.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Dict, Iterable, List, Set
 
 from .geometry import PointCloud
@@ -19,6 +18,7 @@ from .lattice import (
     MAX_DIM,
     Face,
     GridFrame,
+    _FaceCodec,
     _corners,
     _submasks,
     face_vertices,
@@ -140,14 +140,14 @@ class CubicalComplex:
     def __init__(self, s: int, faces: Iterable[Face], active: Iterable[Face]):
         self.s = s
         # face -> whether it is active, in one dict: a face set plus an
-        # active set takes more memory, and a build keeps every complex
+        # active set takes more memory, and an audit keeps every complex
         self._active = dict.fromkeys(faces, False)
         n = len(self._active)
         self._active.update(dict.fromkeys(active, True))
         if len(self._active) != n:
             raise ValueError("active faces outside the complex")
         # sorted one dimension at a time: one sort over every face with
-        # (dim, anchor, mask) keys raised the peak RSS of a build
+        # (dim, anchor, mask) keys raised the peak RSS of an audited build
         by_dim: Dict[int, List[Face]] = {}
         for f in self._active:
             by_dim.setdefault(f.dim, []).append(f)
@@ -187,6 +187,26 @@ class CubicalComplex:
                     raise AssertionError("complex not closed: %r misses %r" % (f, g))
 
 
+def _close(spanned: Set[int], codec: _FaceCodec) -> Dict[int, Set[int]]:
+    """The closure of a set of packed faces, as mask -> set of keys.
+
+    Goes one dimension at a time from the top down: every p-face in the
+    sets, spanned or added from above, puts its 2p facets into the sets
+    of dimension p - 1, where they are deduplicated. Each face of the
+    complex is visited once, with 2·dim facet deltas.
+    """
+    dirs = codec.dirs
+    by_mask: Dict[int, Set[int]] = {}
+    for f in spanned:
+        by_mask.setdefault(f & dirs, set()).add(f)
+    for p in range(max(map(int.bit_count, by_mask), default=0), 0, -1):
+        for mask in [m for m in by_mask if m.bit_count() == p]:
+            faces = by_mask[mask]
+            for delta in codec.facets[mask]:
+                by_mask.setdefault(mask + delta & dirs, set()).update(map(delta.__add__, faces))
+    return by_mask
+
+
 def closure(spanned: Iterable[Face]) -> CubicalComplex:
     """Close a spanned-face set downward; the added faces are secondary."""
     spanned = set(spanned)
@@ -194,7 +214,14 @@ def closure(spanned: Iterable[Face]) -> CubicalComplex:
     if len(scales) > 1:
         raise ValueError("faces from multiple scales")
     s = scales.pop() if scales else 0
-    return CubicalComplex(s, chain.from_iterable(map(subfaces, spanned)), spanned)
+    if not spanned:
+        return CubicalComplex(s, (), ())
+    # a face's subfaces reach one past its anchor
+    codec = _FaceCodec(len(next(iter(spanned)).anchor),
+                       max(abs(x) for f in spanned for x in f.anchor) + 1)
+    by_mask = _close(set(map(codec.pack, spanned)), codec)
+    return CubicalComplex(s, (codec.unpack(x, s) for keys in by_mask.values() for x in keys),
+                          spanned)
 
 
 def cubical_boundary(U: CubicalComplex, p: int):

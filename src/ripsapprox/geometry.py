@@ -142,7 +142,15 @@ def closest_pair(P: PointCloud, metric="linf"):
 
 
 def diameter(P: PointCloud, metric="linf") -> float:
-    """Maximum pairwise distance; 0 for a single point."""
+    """Maximum pairwise distance; 0 for a single point.
+
+    Under linf this is the largest per-axis range, the distance between
+    the per-axis maxima and minima: float subtraction is monotone, so it
+    is the same float as the pairwise maximum, in O(n·d) memory.
+    """
+    if metric == "linf":
+        pts = P.points
+        return float(_distance(pts.max(axis=0), pts.min(axis=0), metric))
     return float(P.pairwise_distances(metric).max())
 
 

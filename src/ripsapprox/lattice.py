@@ -288,6 +288,110 @@ def facets(f: Face) -> List[Face]:
     return [Face(f.s, c, f.mask ^ bit) for bit in bits for c in _corners(f.anchor, bit).values()]
 
 
+class _PerMask(dict):
+    """mask -> key deltas, made by `make` on first use."""
+
+    def __init__(self, make):
+        super().__init__()
+        self._make = make
+
+    def __missing__(self, mask: int) -> Tuple[int, ...]:
+        deltas = self[mask] = tuple(self._make(mask))
+        return deltas
+
+
+class _FaceCodec:
+    """Faces of a d-dimensional grid packed into one int each.
+
+    key = (A << d) | mask. A holds one W-bit field per coordinate,
+    coordinate 0 most significant, and the field of anchor coordinate a
+    is a + 2^(W-2). Keys of one dimension therefore sort in (anchor,
+    mask) order. Anchors up to `radius` in absolute value pack; W is the
+    bit length of the radius plus a sign bit and two bits of headroom
+    for the image step (and at least d, for the parity gather in
+    `step`). Python ints are unbounded, so there is no cap on W. The
+    scale of a face is not in its key; `unpack` takes it back.
+
+    Corners, subfaces and facets of a key are the key plus deltas,
+    tabulated per mask on first use, in the order of `face_vertices`,
+    `subfaces` and `facets`: `corners[mask]`, `subfaces[mask]`,
+    `proper_subfaces[mask]` and `facets[mask]`.
+    """
+
+    def __init__(self, d: int, radius: int):
+        W = max(max(radius, 1).bit_length() + 3, d)
+        self.d, self.radius, self.width = d, radius, W
+        self.dirs = (1 << d) - 1
+        # units[i]: the key delta of anchor + e_i
+        units = self._units = [1 << (d + W * (d - 1 - i)) for i in range(d)]
+        self._ones = sum(units)  # 1 in every field
+        self._bias = 1 << (W - 2)
+
+        # the tables close over `units`, not `self`: a cycle would keep
+        # the codec and its tables alive until the cyclic collector runs
+        def lift(high: int) -> int:
+            """The key delta of anchor + e_high."""
+            return sum(unit for i, unit in enumerate(units) if high >> i & 1)
+
+        def subfaces(mask: int, proper: bool):
+            for keep in _submasks(mask):
+                if not (proper and keep == mask):
+                    for high in _submasks(mask ^ keep):
+                        yield keep - mask + lift(high)
+
+        self.corners = _PerMask(lambda mask: (lift(high) - mask for high in _submasks(mask)))
+        self.subfaces = _PerMask(lambda mask: subfaces(mask, False))
+        self.proper_subfaces = _PerMask(lambda mask: subfaces(mask, True))
+        self.facets = _PerMask(lambda mask: (low - bit for i, unit in enumerate(units)
+                                             if mask >> i & 1
+                                             for bit in (1 << i,) for low in (0, unit)))
+
+    def pack(self, f: Face) -> int:
+        if len(f.anchor) != self.d or f.mask >> self.d:
+            raise ValueError("%r is not a face of a %d-dimensional grid" % (f, self.d))
+        key = self._bias * self._ones + f.mask
+        for a, unit in zip(f.anchor, self._units):
+            if abs(a) > self.radius:
+                raise ValueError("anchor of %r outside the radius %d" % (f, self.radius))
+            key += a * unit
+        return key
+
+    def unpack(self, key: int, s: int) -> Face:
+        d, W, field = self.d, self.width, (1 << self.width) - 1
+        return Face(s, tuple([(key >> (d + W * (d - 1 - i)) & field) - self._bias
+                              for i in range(d)]), key & self.dirs)
+
+    def step(self, eps: Sequence[int]):
+        """The key map of g for one step with shift signs eps.
+
+        One whole-word step on A: C holds 1 - eps_i in each field, so
+        each field F = a + 2^(W-2) becomes (2F + C) >> 2, which is
+        (2a - eps_i + 1) // 4 of `_face_image` plus 2^(W-3). The shift
+        pulls two bits of the next field into the top of each field;
+        keeping the low W-2 bits drops them, and adding 2^(W-3) restores
+        the bias. Direction i of the mask survives when a_i is odd and
+        eps_i = +1, or a_i is even and eps_i = -1. The parities (bit 0 of
+        each field) are gathered into mask order by one multiplication:
+        field i's bit lands at position i above the top field, and every
+        cross product lands outside those d bits (W >= d), without carries.
+        """
+        d, W, dirs, ones = self.d, self.width, self.dirs, self._ones
+        C = sum(2 * unit for unit, e in zip(self._units, eps) if e < 0)
+        plus = sum(1 << i for i, e in enumerate(eps) if e > 0)
+        low = ((1 << (W - 2)) - 1) * ones
+        half = (1 << (W - 3)) * ones
+        gather = sum(1 << (i * (W + 1)) for i in range(d))
+        shift = d + W * (d - 1)
+
+        def image(key: int) -> int:
+            mask = key & dirs
+            A = key ^ mask
+            if mask:
+                mask &= ~((A & ones) * gather >> shift ^ plus)
+            return (((A << 1) + C >> 2) & low) + half | mask
+        return image
+
+
 def is_subface(f: Face, g: Face) -> bool:
     """Whether f is a (not necessarily proper) face of g."""
     if f.s != g.s or (f.mask & ~g.mask):

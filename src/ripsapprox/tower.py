@@ -20,20 +20,20 @@ from __future__ import annotations
 import io
 import math
 from collections import Counter
+from itertools import chain, filterfalse, islice
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
-from .cubical import CubicalComplex, active_vertices, closure, spanned_faces
+from .cubical import CubicalComplex, _close, active_vertices, spanned_faces
 from .geometry import METRICS, PointCloud, closest_pair, diameter
 from .lattice import (
     MAX_DIM,
     Face,
     ShiftSequence,
     _face_image,
+    _FaceCodec,
     _splitmix64,
     build_frames,
-    face_vertices,
-    subfaces,
 )
 
 __all__ = [
@@ -291,20 +291,23 @@ def chain_count(max_len: int, dim: int) -> int:
     return prev[dim]
 
 
-def _chains_ending(F: Face, cap: int):
-    """Strict ascending chains of length 2..cap with top face F."""
-    stack: List[Tuple[Face, ...]] = [(F,)]
+def _chains_ending(top: int, cap: int, codec: _FaceCodec):
+    """Strict ascending chains of length 2..cap of packed faces, ending
+    at the face `top`."""
+    stack: List[Tuple[int, ...]] = [(top,)]
     while stack:
         c = stack.pop()
         if len(c) >= 2:
             yield c
         if len(c) < cap:
-            for g in subfaces(c[0], proper=True):
-                stack.append((g,) + c)
+            low = c[0]
+            for delta in codec.proper_subfaces[low & codec.dirs]:
+                stack.append((low + delta,) + c)
 
 
-def _build_tower(P: PointCloud, k: int, seed: int, metric: str, mode: str,
-                 lam=None, max_scales=None, guard_cells=None) -> Tuple[EventStream, TowerAudit]:
+def _build_tower(P: PointCloud, k: int, seed: int, metric: str, mode: str, lam=None,
+                 max_scales=None, guard_cells=None,
+                 with_audit=False) -> Tuple[EventStream, Optional[TowerAudit]]:
     if P.d > MAX_DIM:
         raise GuardrailExceeded("d = %d exceeds %d" % (P.d, MAX_DIM))
     simplicial = mode == "simplicial"
@@ -315,37 +318,46 @@ def _build_tower(P: PointCloud, k: int, seed: int, metric: str, mode: str,
     d = P.d
     shifts = ShiftSequence(seed, d)
     frames = build_frames(ladder.lam, ladder.m, d, shifts)
-    audit = TowerAudit()
+    audit = TowerAudit() if with_audit else None
     # flags are strict subface chains of at most flag_len faces; a
     # cubical tower emits the faces alone
     flag_len = k + 1 if simplicial else 1
     events: List = []
     next_id = 0
     total_cells = 0
-    # ids of the vertices of the output complex: every face of the
-    # cubical complex for simplicial towers, grid vertices for cubical
-    id_of_face: Dict[Face, int] = {}
     V = active_vertices(frames[0], P)
-    # the grid map g on the faces of the previous complex, one image per
-    # face; empty at scale 0
-    image: Dict[Face, Face] = {}
+    # faces are packed keys from here on (`Face` only for spanned_faces
+    # and the audit). No anchor outgrows the scale-0 vertices: a complex
+    # lies in the bounding box of its active vertices, and g maps an
+    # anchor a to about a/2.
+    codec = _FaceCodec(d, max(abs(x) for v in V for x in v.anchor))
+    dirs = codec.dirs
+    # ids of the vertices of the output complex: every face of the
+    # cubical complex for simplicial towers, its grid vertices for
+    # cubical; either way the first len(id_of_face) faces of `faces`
+    id_of_face: Dict[int, int] = {}
+    faces: List[int] = []
 
     for s, frame in enumerate(frames):
+        # the grid map g on the faces of the previous complex, one image
+        # per face (none at scale 0): the ids of the faces that map to
+        # each image, and all the images
+        groups: Dict[int, List[int]] = {}
+        images: Set[int] = set()
         if s:
-            eps = shifts.signs(s - 1)
-            image = {f: Face(s, *_face_image(f.anchor, f.mask, eps)) for f in faces}
-            # the active vertices are the images of the previous ones
-            V = {image[v] for v in V}
-        U = closure(spanned_faces(frame, V))
+            g = codec.step(shifts.signs(s - 1))
+            for f, fid in id_of_face.items():
+                groups.setdefault(g(f), []).append(fid)
+            images.update(groups)
+            images.update(map(g, islice(faces, len(id_of_face), None)))
+            # the active vertices are the images of the previous ones,
+            # which were the spanned 0-faces
+            V = {codec.unpack(g(v), s) for v in spanned if not v & dirs}
+        spanned = set(map(codec.pack, spanned_faces(frame, V)))
+        by_mask = _close(spanned, codec)
 
         group: List = []
-        new_id_of_face: Dict[Face, int] = {}
-        groups: Dict[Face, List[int]] = {}
-        for f, img in image.items():
-            assert img in U, "image face missing from next complex"
-            fid = id_of_face.get(f)
-            if fid is not None:
-                groups.setdefault(img, []).append(fid)
+        new_id_of_face: Dict[int, int] = {}
         for img in sorted(groups, key=lambda f: min(groups[f])):
             ids = sorted(groups[img])
             rep = ids[0]
@@ -353,32 +365,45 @@ def _build_tower(P: PointCloud, k: int, seed: int, metric: str, mode: str,
             for j in ids[1:]:
                 group.append(Contract(rep, j))
         n_contr = len(group)
-        images = set(image.values())
-        faces = U.faces()
-        new_faces = [f for f in faces if f not in images]
+        # canonical (dim, anchor, mask) order: by dimension, then by key;
+        # a face is new when it is not an image
+        faces = []
+        new_by_dim: List[List[int]] = []
+        for p in range(d + 1):
+            level = sorted(chain.from_iterable(
+                keys for mask, keys in by_mask.items() if mask.bit_count() == p))
+            faces += level
+            new_by_dim.append(list(filterfalse(images.__contains__, level)))
+        n_new = sum(map(len, new_by_dim))
+        assert len(faces) - n_new == len(images), "image face missing from next complex"
+        del by_mask  # `faces` holds them all now
 
         # a flag is new iff its top face is new (images are closed under
         # subfaces); price the faces and their flags before enumerating
-        total_cells += sum(chain_count(flag_len, F.dim) for F in new_faces)
+        total_cells += sum(chain_count(flag_len, p) * len(new) for p, new in enumerate(new_by_dim))
         if guard_cells is not None and total_cells > guard_cells:
             raise GuardrailExceeded(
                 "cell guardrail exceeded: %d > %d" % (total_cells, guard_cells)
             )
 
-        for f in new_faces:
-            if simplicial or f.dim == 0:
-                new_id_of_face[f] = next_id
-                group.append(Include(next_id, 0, ()))
+        id_of = new_id_of_face.__getitem__
+        for p, new in enumerate(new_by_dim):
+            ids = range(next_id, next_id + len(new))
+            next_id += len(new)
+            if simplicial or not p:
+                new_id_of_face.update(zip(new, ids))
+                group += [Include(i, 0, ()) for i in ids]
             else:
-                corners = sorted(map(new_id_of_face.__getitem__, face_vertices(f)))
-                group.append(Include(next_id, f.dim, tuple(corners)))
-            next_id += 1
+                # a cell's vertices are the ids of its corners
+                corners = codec.corners
+                group += [Include(i, p, tuple(sorted(map(id_of, map(f.__add__, corners[f & dirs])))))
+                          for i, f in zip(ids, new)]
 
         if flag_len > 1:
             by_r: Dict[int, List[Tuple[int, ...]]] = {}
-            for F in new_faces:
-                for c in _chains_ending(F, flag_len):
-                    ids = tuple(sorted(new_id_of_face[x] for x in c))
+            for F in chain.from_iterable(new_by_dim):
+                for c in _chains_ending(F, flag_len, codec):
+                    ids = tuple(sorted(map(id_of, c)))
                     by_r.setdefault(len(c) - 1, []).append(ids)
             for r in sorted(by_r):
                 for ids in sorted(by_r[r]):
@@ -388,11 +413,14 @@ def _build_tower(P: PointCloud, k: int, seed: int, metric: str, mode: str,
         if group:
             events.append(Scale(frame.alpha))
             events.extend(group)
-        new_active = sum(U.is_active(f) for f in new_faces)
-        audit.scales.append(
-            ScaleAudit(s, frame.alpha, U, new_id_of_face, new_active, len(new_faces) - new_active,
-                       Counter(e.dim for e in group[n_contr:]), n_contr)
-        )
+        if audit is not None:
+            new_active = sum(f in spanned for new in new_by_dim for f in new)
+            U = CubicalComplex(s, (codec.unpack(f, s) for f in faces),
+                               (codec.unpack(f, s) for f in spanned))
+            audit.scales.append(ScaleAudit(
+                s, frame.alpha, U, {codec.unpack(f, s): i for f, i in new_id_of_face.items()},
+                new_active, n_new - new_active,
+                Counter(e.dim for e in group[n_contr:]), n_contr))
         id_of_face = new_id_of_face
 
     stream = EventStream(P.n, d, k, metric, seed, ladder.lam, ladder.m, mode, events)
@@ -402,16 +430,18 @@ def _build_tower(P: PointCloud, k: int, seed: int, metric: str, mode: str,
 def build_simplicial_tower(P: PointCloud, k: int, seed: int, *, metric="linf",
                            lam=None, max_scales=None, guard_cells=None, with_audit=False):
     """Event stream of the flag tower over the face poset, k-skeleton capped."""
-    stream, audit = _build_tower(P, k, seed, metric, "simplicial",
-                                 lam=lam, max_scales=max_scales, guard_cells=guard_cells)
+    stream, audit = _build_tower(P, k, seed, metric, "simplicial", lam=lam,
+                                 max_scales=max_scales, guard_cells=guard_cells,
+                                 with_audit=with_audit)
     return (stream, audit) if with_audit else stream
 
 
 def build_cubical_tower(P: PointCloud, seed: int, *, metric="linf",
                         lam=None, max_scales=None, guard_cells=None, with_audit=False):
     """Event stream of the cubical tower (cells, not flags)."""
-    stream, audit = _build_tower(P, 0, seed, metric, "cubical",
-                                 lam=lam, max_scales=max_scales, guard_cells=guard_cells)
+    stream, audit = _build_tower(P, 0, seed, metric, "cubical", lam=lam,
+                                 max_scales=max_scales, guard_cells=guard_cells,
+                                 with_audit=with_audit)
     return (stream, audit) if with_audit else stream
 
 

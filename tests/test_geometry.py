@@ -121,6 +121,20 @@ def test_diameter_values():
     square = PointCloud([[0, 0], [1, 0], [0, 1], [1, 1]])
     assert diameter(square, "linf") == 1.0
     assert diameter(square, "l2") == pytest.approx(math.sqrt(2))
+    # the linf diameter comes from per-axis ranges; it is the same float
+    # as the pairwise maximum, also with ties and mixed signs
+    rng = np.random.default_rng(4)
+    clouds = [PointCloud(rng.uniform(-1e3, 1e3, (n, d)) * rng.uniform(1e-3, 1e3, d))
+              for n, d in ((2, 1), (7, 3), (40, 8), (200, 2))]
+    grid = rng.integers(-3, 4, (60, 3)).astype(float)
+    clouds.append(PointCloud(np.unique(grid, axis=0)))
+    for P in clouds:
+        for metric in ("linf", "l2"):
+            assert diameter(P, metric) == P.pairwise_distances(metric).max()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="distance overflow"):
+            diameter(PointCloud([[1e308, 0.0], [-1e308, 0.0]]), "linf")
 
 
 def test_spread_values():

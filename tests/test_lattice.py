@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from ripsapprox.lattice import (
     locate,
     subfaces,
     vertex_map_g,
+    _FaceCodec,
 )
 
 
@@ -281,6 +283,45 @@ def test_face_vertices_subfaces_facets_counts():
             listed = facets(f)
             assert len(listed) == 2 * len(dirs)
             assert set(listed) == {g for g in faces if g.dim == f.dim - 1}
+
+    # packed keys, as the tower build uses them, against the Face
+    # functions: round trips, order, corners, subfaces, facets and the
+    # image under every sign vector, with negative anchors and anchors at
+    # the radius of the codec, in narrow and wide fields
+    rng = np.random.default_rng(8)
+    pick = random.Random(8)  # draws past int64
+    for d in range(1, 9):
+        every = [(1 << d) - 1, 0] + [int(m) for m in rng.integers(0, 1 << d, 2)]
+        for radius in (3, 2 ** 70 + 1):
+            codec = _FaceCodec(d, radius)
+            anchors = [(-radius,) * d, (radius,) * d,
+                       tuple(radius * (-1) ** i for i in range(d)),
+                       tuple(int(x) for x in rng.integers(-3, 1, d)),
+                       tuple(pick.randint(-radius, radius) for _ in range(d))]
+            masks = range(1 << d) if d <= 4 else every
+            listed = [Face(1, a, mask) for a in anchors for mask in masks]
+            keys = [codec.pack(f) for f in listed]
+            assert [codec.unpack(key, 1) for key in keys] == listed
+            assert sorted(listed, key=lambda f: (f.dim, f.anchor, f.mask)) == \
+                [codec.unpack(key, 1) for key in sorted(keys, key=lambda k: (
+                    (k & codec.dirs).bit_count(), k))]
+            for f, key in zip(listed, keys):
+                def unpacked(deltas):
+                    return [codec.unpack(key + delta, 1) for delta in deltas]
+                assert unpacked(codec.corners[f.mask]) == face_vertices(f)
+                assert unpacked(codec.subfaces[f.mask]) == list(subfaces(f))
+                assert unpacked(codec.proper_subfaces[f.mask]) == list(subfaces(f, proper=True))
+                assert unpacked(codec.facets[f.mask]) == facets(f)
+            images = [Face(0, a, mask) for a in anchors for mask in every]
+            for eps in itertools.product((-1, 1), repeat=d):
+                step = codec.step(eps)
+                frames = frames_fixed(1.0, [eps])
+                for f in images:
+                    assert codec.unpack(step(codec.pack(f)), 1) == face_map_g(frames, 0, f)
+            with pytest.raises(ValueError):
+                codec.pack(Face(0, (radius + 1,) + (0,) * (d - 1), 0))
+            with pytest.raises(ValueError):
+                codec.pack(Face(0, (0,) * d, 1 << d))
 
 
 def test_subface_relation():

@@ -7,7 +7,7 @@ import pytest
 from ripsapprox import tower
 from ripsapprox.cubical import spanned_faces_bruteforce
 from ripsapprox.geometry import PointCloud, diameter, spread
-from ripsapprox.lattice import Face
+from ripsapprox.lattice import Face, _FaceCodec
 from ripsapprox.tower import (
     Contract,
     EventStream,
@@ -532,9 +532,10 @@ def test_chain_count_closed_form_small():
 
 def test_chain_count_matches_enumeration():
     for D in range(4):
-        F = Face(0, (0,) * max(D, 1), (1 << D) - 1)
+        codec = _FaceCodec(max(D, 1), 1)
+        F = codec.pack(Face(0, (0,) * max(D, 1), (1 << D) - 1))
         for L in range(1, 5):
-            brute = 1 + sum(1 for _ in _chains_ending(F, L))
+            brute = 1 + sum(1 for _ in _chains_ending(F, L, codec))
             assert chain_count(L, D) == brute
 
 
