@@ -327,24 +327,19 @@ class _FaceCodec:
         self._ones = sum(units)  # 1 in every field
         self._bias = 1 << (W - 2)
 
-        # the tables close over `units`, not `self`: a cycle would keep
-        # the codec and its tables alive until the cyclic collector runs
         def lift(high: int) -> int:
             """The key delta of anchor + e_high."""
             return sum(unit for i, unit in enumerate(units) if high >> i & 1)
 
-        def subfaces(mask: int, proper: bool):
-            for keep in _submasks(mask):
-                if not (proper and keep == mask):
-                    for high in _submasks(mask ^ keep):
-                        yield keep - mask + lift(high)
-
-        self.corners = _PerMask(lambda mask: (lift(high) - mask for high in _submasks(mask)))
-        self.subfaces = _PerMask(lambda mask: subfaces(mask, False))
-        self.proper_subfaces = _PerMask(lambda mask: subfaces(mask, True))
-        self.facets = _PerMask(lambda mask: (low - bit for i, unit in enumerate(units)
-                                             if mask >> i & 1
-                                             for bit in (1 << i,) for low in (0, unit)))
+        # the tables close over locals, not `self`: a cycle would keep the
+        # codec and its tables alive until the cyclic collector runs
+        self.corners = _PerMask(lambda mask: [lift(high) - mask for high in _submasks(mask)])
+        self.subfaces = subfaces = _PerMask(lambda mask: [
+            keep - mask + lift(high) for keep in _submasks(mask) for high in _submasks(mask ^ keep)])
+        # the face itself comes last (keep = mask, high = 0)
+        self.proper_subfaces = _PerMask(lambda mask: subfaces[mask][:-1])
+        self.facets = _PerMask(lambda mask: [
+            low - (1 << i) for i, unit in enumerate(units) if mask >> i & 1 for low in (0, unit)])
 
     def pack(self, f: Face) -> int:
         if len(f.anchor) != self.d or f.mask >> self.d:

@@ -339,9 +339,9 @@ def _build_tower(P: PointCloud, k: int, seed: int, metric: str, mode: str, lam=N
     faces: List[int] = []
 
     for s, frame in enumerate(frames):
-        # the grid map g on the faces of the previous complex, one image
-        # per face (none at scale 0): the ids of the faces that map to
-        # each image, and all the images
+        # the grid map g on the faces of the previous complex (none at
+        # scale 0), one image per face: `groups` maps an image to the ids
+        # of the faces that map onto it, `images` holds every image
         groups: Dict[int, List[int]] = {}
         images: Set[int] = set()
         if s:
