@@ -202,7 +202,7 @@ def _close(spanned: Set[int], codec: _FaceCodec) -> Dict[int, Set[int]]:
     for p in range(max(map(int.bit_count, by_mask), default=0), 0, -1):
         for mask in [m for m in by_mask if m.bit_count() == p]:
             faces = by_mask[mask]
-            for delta in codec.facets[mask]:
+            for delta in codec.facets(mask):
                 by_mask.setdefault(mask + delta & dirs, set()).update(map(delta.__add__, faces))
     return by_mask
 

@@ -11,6 +11,7 @@ floating-point ties everywhere except point location.
 from __future__ import annotations
 
 import math
+from functools import cache
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 __all__ = [
@@ -288,18 +289,6 @@ def facets(f: Face) -> List[Face]:
     return [Face(f.s, c, f.mask ^ bit) for bit in bits for c in _corners(f.anchor, bit).values()]
 
 
-class _PerMask(dict):
-    """mask -> key deltas, made by `make` on first use."""
-
-    def __init__(self, make):
-        super().__init__()
-        self._make = make
-
-    def __missing__(self, mask: int) -> Tuple[int, ...]:
-        deltas = self[mask] = tuple(self._make(mask))
-        return deltas
-
-
 class _FaceCodec:
     """Faces of a d-dimensional grid packed into one int each.
 
@@ -314,8 +303,8 @@ class _FaceCodec:
 
     Corners, subfaces and facets of a key are the key plus deltas,
     tabulated per mask on first use, in the order of `face_vertices`,
-    `subfaces` and `facets`: `corners[mask]`, `subfaces[mask]`,
-    `proper_subfaces[mask]` and `facets[mask]`.
+    `subfaces` and `facets`: `corners(mask)`, `subfaces(mask)`,
+    `proper_subfaces(mask)` and `facets(mask)`.
     """
 
     def __init__(self, d: int, radius: int):
@@ -331,15 +320,15 @@ class _FaceCodec:
             """The key delta of anchor + e_high."""
             return sum(unit for i, unit in enumerate(units) if high >> i & 1)
 
-        # the tables close over locals, not `self`: a cycle would keep the
-        # codec and its tables alive until the cyclic collector runs
-        self.corners = _PerMask(lambda mask: [lift(high) - mask for high in _submasks(mask)])
-        self.subfaces = subfaces = _PerMask(lambda mask: [
-            keep - mask + lift(high) for keep in _submasks(mask) for high in _submasks(mask ^ keep)])
+        # per-mask tables; they close over locals, not `self`: a cycle
+        # would keep the codec alive until the cyclic collector runs
+        self.corners = cache(lambda mask: tuple(lift(high) - mask for high in _submasks(mask)))
+        self.subfaces = subfaces = cache(lambda mask: tuple(
+            keep - mask + lift(high) for keep in _submasks(mask) for high in _submasks(mask ^ keep)))
         # the face itself comes last (keep = mask, high = 0)
-        self.proper_subfaces = _PerMask(lambda mask: subfaces[mask][:-1])
-        self.facets = _PerMask(lambda mask: [
-            low - (1 << i) for i, unit in enumerate(units) if mask >> i & 1 for low in (0, unit)])
+        self.proper_subfaces = cache(lambda mask: subfaces(mask)[:-1])
+        self.facets = cache(lambda mask: tuple(
+            low - (1 << i) for i, unit in enumerate(units) if mask >> i & 1 for low in (0, unit)))
 
     def pack(self, f: Face) -> int:
         if len(f.anchor) != self.d or f.mask >> self.d:

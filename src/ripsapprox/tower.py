@@ -301,7 +301,7 @@ def _chains_ending(top: int, cap: int, codec: _FaceCodec):
             yield c
         if len(c) < cap:
             low = c[0]
-            for delta in codec.proper_subfaces[low & codec.dirs]:
+            for delta in codec.proper_subfaces(low & codec.dirs):
                 stack.append((low + delta,) + c)
 
 
@@ -396,7 +396,7 @@ def _build_tower(P: PointCloud, k: int, seed: int, metric: str, mode: str, lam=N
             else:
                 # a cell's vertices are the ids of its corners
                 corners = codec.corners
-                group += [Include(i, p, tuple(sorted(map(id_of, map(f.__add__, corners[f & dirs])))))
+                group += [Include(i, p, tuple(sorted(map(id_of, map(f.__add__, corners(f & dirs))))))
                           for i, f in zip(ids, new)]
 
         if flag_len > 1:

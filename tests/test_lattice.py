@@ -308,10 +308,10 @@ def test_face_vertices_subfaces_facets_counts():
             for f, key in zip(listed, keys):
                 def unpacked(deltas):
                     return [codec.unpack(key + delta, 1) for delta in deltas]
-                assert unpacked(codec.corners[f.mask]) == face_vertices(f)
-                assert unpacked(codec.subfaces[f.mask]) == list(subfaces(f))
-                assert unpacked(codec.proper_subfaces[f.mask]) == list(subfaces(f, proper=True))
-                assert unpacked(codec.facets[f.mask]) == facets(f)
+                assert unpacked(codec.corners(f.mask)) == face_vertices(f)
+                assert unpacked(codec.subfaces(f.mask)) == list(subfaces(f))
+                assert unpacked(codec.proper_subfaces(f.mask)) == list(subfaces(f, proper=True))
+                assert unpacked(codec.facets(f.mask)) == facets(f)
             images = [Face(0, a, mask) for a in anchors for mask in every]
             for eps in itertools.product((-1, 1), repeat=d):
                 step = codec.step(eps)
