@@ -3,7 +3,7 @@ import numpy as np
 
 from ripsapprox.diagram import certify_approximation, multiplicative_bottleneck
 from ripsapprox.geometry import PointCloud
-from ripsapprox.persistence import reduce, rips_filtration, tower_barcode
+from ripsapprox.persistence import rips_barcode, tower_barcode
 from ripsapprox.tower import build_simplicial_tower
 
 # interleaving claim: factor 2 against the sup metric, 2*d^(1/4) against l2
@@ -16,7 +16,7 @@ for metric in ("linf", "l2"):
         claim = 2.0 if metric == "linf" else 2.0 * d ** 0.25
 
         stream = build_simplicial_tower(P, 2, seed=seed)
-        exact = reduce(rips_filtration(P, metric, 1), homology_cap=1)
+        exact = rips_barcode(P, metric, 1)
         # scale snapshots sit at the right end of their validity window;
         # dividing the axis by 4/claim centres both interleaving directions
         balanced = tower_barcode(stream, 1).scaled(claim / 4.0)
@@ -29,7 +29,7 @@ for metric in ("linf", "l2"):
 # the certificate is just a bottleneck computation per dimension
 rng = np.random.default_rng(2)
 P = PointCloud(rng.uniform(0, 10, size=(10, 2)))
-exact = reduce(rips_filtration(P, "linf", 1), homology_cap=1)
+exact = rips_barcode(P, "linf", 1)
 balanced = tower_barcode(build_simplicial_tower(P, 2, seed=2), 1).scaled(0.5)
 print("\nper-dim bottleneck ratios:",
       {p: round(multiplicative_bottleneck(balanced, exact, p), 4)

@@ -139,20 +139,13 @@ class CubicalComplex:
 
     def __init__(self, s: int, faces: Iterable[Face], active: Iterable[Face]):
         self.s = s
-        # face -> whether it is active, in one dict: a face set plus an
-        # active set takes more memory, and an audit keeps every complex
+        # face -> whether it is active
         self._active = dict.fromkeys(faces, False)
         n = len(self._active)
         self._active.update(dict.fromkeys(active, True))
         if len(self._active) != n:
             raise ValueError("active faces outside the complex")
-        # sorted one dimension at a time: one sort over every face with
-        # (dim, anchor, mask) keys raised the peak RSS of an audited build
-        by_dim: Dict[int, List[Face]] = {}
-        for f in self._active:
-            by_dim.setdefault(f.dim, []).append(f)
-        self._order = [f for p in sorted(by_dim)
-                       for f in sorted(by_dim[p], key=lambda f: (f.anchor, f.mask))]
+        self._order = sorted(self._active, key=lambda f: (f.dim, f.anchor, f.mask))
 
     @property
     def dim(self) -> int:

@@ -24,7 +24,7 @@ from itertools import chain, filterfalse, islice
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
-from .cubical import CubicalComplex, _close, active_vertices, spanned_faces
+from .cubical import _close, active_vertices, spanned_faces
 from .geometry import METRICS, PointCloud, closest_pair, diameter
 from .lattice import (
     MAX_DIM,
@@ -245,7 +245,6 @@ class ScaleAudit:
 
     s: int
     alpha: float
-    U: CubicalComplex
     id_of_face: Dict[Face, int]
     new_active: int
     new_secondary: int
@@ -273,22 +272,14 @@ class TowerAudit:
 def chain_count(max_len: int, dim: int) -> int:
     """Strict subface chains of length <= max_len ending at a dim-face.
 
-    A D-face has C(D, j) * 2^(D-j) subfaces of dimension j; the count
-    depends on the top dimension only. Used to price the flag output of
-    a scale before enumerating it.
+    Along a chain of r steps, each direction of the top face is free
+    from some level on and fixed at one of its two ends below it: 2r + 1
+    choices, so (2r + 1)^dim weakly ascending chains. Inclusion-exclusion
+    over the steps that repeat a face keeps the strict ones. Used to
+    price the flag output of a scale before enumerating it.
     """
-    if max_len < 1:
-        return 0
-    prev = [1] * (dim + 1)
-    for _ in range(max_len - 1):
-        cur = []
-        for D in range(dim + 1):
-            total = 1
-            for j in range(D):
-                total += math.comb(D, j) * (1 << (D - j)) * prev[j]
-            cur.append(total)
-        prev = cur
-    return prev[dim]
+    return sum((-1) ** i * math.comb(r, i) * (2 * (r - i) + 1) ** dim
+               for r in range(max_len) for i in range(r + 1))
 
 
 def _chains_ending(top: int, cap: int, codec: _FaceCodec):
@@ -356,10 +347,12 @@ def _build_tower(P: PointCloud, k: int, seed: int, metric: str, mode: str, lam=N
         spanned = set(map(codec.pack, spanned_faces(frame, V)))
         by_mask = _close(spanned, codec)
 
+        # id_of_face iterates in ascending id order (the representatives,
+        # then fresh ids), so each group's ids ascend and the groups come
+        # ordered by least id
         group: List = []
         new_id_of_face: Dict[int, int] = {}
-        for img in sorted(groups, key=lambda f: min(groups[f])):
-            ids = sorted(groups[img])
+        for img, ids in groups.items():
             rep = ids[0]
             new_id_of_face[img] = rep
             for j in ids[1:]:
@@ -415,10 +408,8 @@ def _build_tower(P: PointCloud, k: int, seed: int, metric: str, mode: str, lam=N
             events.extend(group)
         if audit is not None:
             new_active = sum(f in spanned for new in new_by_dim for f in new)
-            U = CubicalComplex(s, (codec.unpack(f, s) for f in faces),
-                               (codec.unpack(f, s) for f in spanned))
             audit.scales.append(ScaleAudit(
-                s, frame.alpha, U, {codec.unpack(f, s): i for f, i in new_id_of_face.items()},
+                s, frame.alpha, {codec.unpack(f, s): i for f, i in new_id_of_face.items()},
                 new_active, n_new - new_active,
                 Counter(e.dim for e in group[n_contr:]), n_contr))
         id_of_face = new_id_of_face
@@ -572,14 +563,14 @@ def replay(stream: EventStream, upto: Optional[int] = None) -> Snapshot:
     """Replay events through the contraction union-find.
 
     `upto` selects a 0-based ordinal among the Scale events present in
-    the stream (None = the whole stream). Raises MalformedStream on
-    every stream `_walk_scales` rejects.
+    the stream (None or past the end = the last; negative = none, an
+    empty snapshot). The whole stream is walked either way, so this
+    raises MalformedStream on every stream `_walk_scales` rejects.
     """
     ordinal, alpha, cells = -1, None, [{}]
-    if upto is None or upto >= 0:
-        for ordinal, (alpha, cells, _) in enumerate(_walk_scales(stream)):
-            if ordinal == upto:
-                break
+    for i, (a, c, _) in enumerate(_walk_scales(stream)):
+        if upto is None or i <= upto:
+            ordinal, alpha, cells = i, a, c
     live = {v for (v,) in cells[0]}
     return Snapshot(stream.mode, alpha, ordinal, live, {frozenset(c) for q in cells for c in q})
 
@@ -588,15 +579,8 @@ def stirling2(n: int, r: int) -> int:
     """Stirling number of the second kind: partitions of n into r blocks."""
     if r < 0 or r > n:
         return 0
-    row = [1] + [0] * r
-    # row[j] = S(i, j) built bottom-up
-    for i in range(1, n + 1):
-        new = [0] * (r + 1)
-        for j in range(1, min(i, r) + 1):
-            new[j] = j * row[j] + row[j - 1]
-        new[0] = 1 if i == 0 else 0
-        row = new
-    return row[r]
+    return sum((-1) ** j * math.comb(r, j) * (r - j) ** n
+               for j in range(r + 1)) // math.factorial(r)
 
 
 def active_inclusion_bound(n: int, d: int) -> int:

@@ -4,7 +4,9 @@ from pathlib import Path
 import numpy as np
 from hypothesis import strategies as st
 
+from ripsapprox.cubical import active_vertices, closure, spanned_faces
 from ripsapprox.geometry import PointCloud
+from ripsapprox.lattice import ShiftSequence, build_frames, face_map_g
 from ripsapprox.tower import build_cubical_tower, build_simplicial_tower
 
 
@@ -25,6 +27,22 @@ def random_cloud(seed, n, d, box=10.0):
         pts = rng.uniform(0.0, box, size=(n, d))
         if len({tuple(row) for row in pts}) == n:
             return PointCloud(pts)
+
+
+def definition_complexes(P, stream):
+    """Each scale's complex of the tower `stream` built from P, from the
+    definition: the scale-0 active vertices are the cells that hold a
+    point, each later scale's are the images of the previous ones under
+    g, and the complex is the closure of the faces they span. Only the
+    stream's header (lambda, m, seed) is read. Yields (spanned, complex)
+    for scales 0..m."""
+    frames = build_frames(stream.lam, stream.m, P.d, ShiftSequence(stream.seed, P.d))
+    V = active_vertices(frames[0], P)
+    for s, frame in enumerate(frames):
+        if s:
+            V = {face_map_g(frames, s - 1, v) for v in V}
+        spanned = spanned_faces(frame, V)
+        yield spanned, closure(spanned)
 
 
 FUZZ_BASES = [

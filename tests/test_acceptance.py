@@ -42,7 +42,7 @@ from ripsapprox.tower import (
     survival_experiment,
 )
 
-from conftest import cli_env, random_cloud
+from conftest import cli_env, definition_complexes, random_cloud
 from test_diagram import _bottleneck_whole_list
 
 
@@ -288,17 +288,20 @@ def test_criterion_7_reconstruction_and_acyclicity(instance_corpus, capsys):
     scales = faces_checked = 0
     for P, stream, audit in instance_corpus:
         present = -1
-        for sc in audit.scales:
-            X = build_order_complex(sc.U, stream.k)
-            expected = {frozenset(sc.id_of_face[X.vertex_faces[v]] for v in sigma)
-                        for sigma in X.all_simplices()}
+        for sc, (spanned, U) in zip(audit.scales, definition_complexes(P, stream), strict=True):
             if sc.includes_by_dim or sc.n_contractions:
                 present += 1
-            snap = replay(stream, upto=present)
-            if snap.cells != expected:
-                mismatches += 1
             scales += 1
-            for f in sc.U.active_faces():
+            # the build's ids name exactly the definition's faces
+            if sc.id_of_face.keys() != set(U.faces()):
+                mismatches += 1
+            else:
+                X = build_order_complex(U, stream.k)
+                expected = {frozenset(sc.id_of_face[X.vertex_faces[v]] for v in sigma)
+                            for sigma in X.all_simplices()}
+                if replay(stream, upto=present).cells != expected:
+                    mismatches += 1
+            for f in spanned:
                 sub = build_order_complex(closure([f]), max(f.dim, 1))
                 if any(betti(sub)):
                     cyclic += 1
@@ -312,10 +315,10 @@ def test_criterion_7_reconstruction_and_acyclicity(instance_corpus, capsys):
 
 def test_criterion_8_cubical_simplicial_betti(instance_corpus, capsys):
     mismatches = scales = 0
-    for P, stream, audit in instance_corpus:
-        for sc in audit.scales:
-            bu = betti(sc.U)
-            bx = betti(build_order_complex(sc.U, max(sc.U.dim, 1)))
+    for P, stream, _ in instance_corpus:
+        for _, U in definition_complexes(P, stream):
+            bu = betti(U)
+            bx = betti(build_order_complex(U, max(U.dim, 1)))
             width = max(len(bu), len(bx))
             bu = bu + [0] * (width - len(bu))
             bx = bx + [0] * (width - len(bx))

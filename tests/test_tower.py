@@ -31,7 +31,7 @@ from ripsapprox.tower import (
 )
 from ripsapprox.persistence import coning_oracle, tower_barcode
 
-from conftest import MUTATIONS, random_cloud
+from conftest import MUTATIONS, definition_complexes, random_cloud
 
 
 # --- scale ladder ---
@@ -347,6 +347,9 @@ def test_audit_totals_match_stream():
     assert audit.total_inclusions == stream.counts()["I"] == \
         audit.total_active_inclusions + audit.total_secondary_inclusions
     assert sum(sc.n_contractions for sc in audit.scales) == stream.counts()["C"]
+    # its ids name the grid vertices of the definition's complex
+    for sc, (_, U) in zip(audit.scales, definition_complexes(P, stream), strict=True):
+        assert sc.id_of_face.keys() == set(U.faces_of_dim(0))
 
 
 def test_towers_unchanged_with_bruteforce_spanned_faces(monkeypatch):
@@ -370,9 +373,10 @@ def parse_replay(body, **kw):
 
 
 def assert_rejected(body, head=HEAD):
-    """Both stream readers refuse the body with MalformedStream."""
+    """Both stream readers, and replay of the first scale only, refuse
+    the body with MalformedStream."""
     stream = EventStream.parse(head + body)
-    for read in (replay, tower_barcode):
+    for read in (replay, tower_barcode, lambda s: replay(s, upto=0)):
         with pytest.raises(MalformedStream):
             read(stream)
 
@@ -434,6 +438,8 @@ def test_replay_rejects_bad_contracts():
     assert_rejected("S 1\nI 0 0\nC 0 3\n")  # unknown id
     assert_rejected("S 1\nI 0 0\nI 1 0\nC 0 1\nC 0 1\n")  # j already dead
     assert_rejected("S 1\nI 0 0\nI 1 0\nI 2 1 0 1\nC 0 2\n")  # not a vertex
+    # unknown id in the second group: refused up to the first group too
+    assert_rejected("S 1\nI 0 0\nI 1 0\nS 2\nC 0 5\n", "H 2 1 0 linf 0 1 1 simplicial\n")
 
 
 def test_replay_rejects_decreasing_scales():
