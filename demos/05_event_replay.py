@@ -1,9 +1,9 @@
-"""Parse an event stream from text, replay prefixes, watch Betti numbers move."""
+"""Parse an event stream from text, walk its snapshots, watch Betti numbers move."""
 import numpy as np
 
 from ripsapprox.geometry import PointCloud
 from ripsapprox.persistence import betti
-from ripsapprox.tower import EventStream, MalformedStream, build_simplicial_tower, replay
+from ripsapprox.tower import EventStream, MalformedStream, build_simplicial_tower, replay, snapshots
 
 rng = np.random.default_rng(11)
 P = PointCloud(rng.uniform(0, 10, size=(9, 2)))
@@ -12,13 +12,11 @@ text = stream.to_text()
 print("stream is plain text, %d lines, round-trips: %s"
       % (len(text.splitlines()), EventStream.parse(text) == stream))
 
-# replay validates and materializes the complex after each scale group
-n_scales = stream.counts()["S"]
-for i in range(n_scales):
-    snap = replay(stream, upto=i)
-    b = betti(snap)
+# snapshots validates and materializes the complex after each scale group
+for snap in snapshots(stream):
     print("scale %d  alpha=%-8g cells=%-5d live vertices=%-4d reduced betti=%s"
-          % (i, snap.alpha, len(snap.cells), len(snap.live), b))
+          % (snap.scale_ordinal, snap.alpha, sum(map(len, snap.cells)), len(snap.live),
+             betti(snap)))
 
 # the final complex is one subdivided cube: connected, and with flags up to
 # length d+1 in the stream it is fully acyclic

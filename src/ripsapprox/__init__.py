@@ -13,7 +13,7 @@ from .barycentric import FlagSimplex, SimplicialComplex, build_order_complex, si
 from .tower import (
     Scale, Include, Contract, EventStream, ScaleLadder, Snapshot,
     GuardrailExceeded, MalformedStream, relevant_scales,
-    build_simplicial_tower, build_cubical_tower, replay, survival_experiment,
+    build_simplicial_tower, build_cubical_tower, replay, snapshots, survival_experiment,
     active_inclusion_bound, cubical_cell_bound, simplicial_inclusion_bound,
 )
 from .persistence import Barcode, Filtration, rips_filtration, rips_barcode, reduce, betti, tower_barcode, coning_oracle

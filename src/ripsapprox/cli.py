@@ -203,7 +203,7 @@ def _stats_checks(stream: EventStream, raw: bytes, points_path: Optional[str],
         add("cell inclusions <= n*6^d", total_includes, cubical_cell_bound(n, d))
         # connectivity only, from the graph of 0- and 1-cells (an edge is
         # a 2-vertex set in both modes): evidence of final-scale collapse
-        graph_betti = betti(c for c in snap.cells if len(c) <= 2)
+        graph_betti = betti([*snap.cells[0], *snap.cells[1]])
         comps = graph_betti[0] + 1 if graph_betti else 0
         checks.append(("final scale connected", comps, 1, comps == 1))
 
@@ -235,7 +235,7 @@ def cmd_stats(args) -> int:
              "final scale: ordinal=%d alpha=%s live-vertices=%d cells=%d"
              % (snap.scale_ordinal,
                 "%.17g" % snap.alpha if snap.alpha is not None else "none",
-                len(snap.live), len(snap.cells))]
+                len(snap.live), sum(map(len, snap.cells)))]
     ok = True
     for name, observed, bound, passed in checks:
         ok = ok and passed

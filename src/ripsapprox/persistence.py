@@ -22,7 +22,7 @@ from .barycentric import SimplicialComplex
 from .cubical import CubicalComplex, cubical_boundary
 from .geometry import PointCloud
 from .tower import (EventStream, GuardrailExceeded, Include, MalformedStream, Scale, Snapshot,
-                    _find, _fmt_g17, _walk_scales)
+                    _find, _fmt_g17, replay, snapshots)
 
 __all__ = [
     "Filtration",
@@ -448,16 +448,16 @@ def betti(obj) -> List[int]:
         if isinstance(obj, Snapshot):
             if obj.mode != "simplicial":
                 raise ValueError("betti of a snapshot needs a simplicial stream")
-            obj = obj.cells
-        if isinstance(obj, SimplicialComplex):
-            simplices = obj.all_simplices()
+            # up to the highest non-empty dimension, as for a tuple iterable
+            cells = obj.cells[:max((q + 1 for q, c in enumerate(obj.cells) if c), default=0)]
         else:
-            simplices = [tuple(sorted(t)) for t in obj]
-        cells: List[Dict[Tuple[int, ...], int]] = []
-        for t in sorted(set(simplices), key=lambda t: (len(t), t)):
-            while len(cells) < len(t):
-                cells.append({})
-            cells[-1][t] = len(cells[-1])
+            simplices = (obj.all_simplices() if isinstance(obj, SimplicialComplex)
+                         else [tuple(sorted(t)) for t in obj])
+            cells = []
+            for t in sorted(set(simplices), key=lambda t: (len(t), t)):
+                while len(cells) < len(t):
+                    cells.append({})
+                cells[-1][t] = len(cells[-1])
         try:
             columns = _simplicial_columns(cells, len(cells) - 1) if cells else []
         except KeyError as e:
@@ -491,7 +491,7 @@ def tower_barcode(stream: EventStream, k: Optional[int] = None) -> Barcode:
     below the first scale). At each snapshot the cycles of the live
     classes are pushed through the scale step, oldest first; an image
     that depends on the boundaries and the older images ends its bar.
-    The snapshots come from `_walk_scales`, which validates the stream
+    The snapshots come from `snapshots`, which validates the stream
     as `replay` does: a cubical or malformed stream raises
     MalformedStream.
     """
@@ -506,17 +506,17 @@ def tower_barcode(stream: EventStream, k: Optional[int] = None) -> Barcode:
     # live[p]: (birth, cycle) of every p-class alive at the last
     # snapshot, oldest first
     live: List[List[Tuple[float, int]]] = [[] for _ in range(k + 1)]
-    for t, (alpha, cells, steps) in enumerate(_walk_scales(stream)):
-        born = 0.0 if t == 0 else alpha
-        cycles, boundaries = _cycles_and_boundaries(_simplicial_columns(cells, k + 1), k)
+    for snap in snapshots(stream):
+        born = 0.0 if snap.scale_ordinal == 0 else snap.alpha
+        cycles, boundaries = _cycles_and_boundaries(_simplicial_columns(snap.cells, k + 1), k)
         for p, pivots in enumerate(boundaries):
             kept = []
             for birth, z in live[p]:
-                z = _push_vector(z, steps[p])
+                z = _push_vector(z, snap.steps[p])
                 if _eliminate(z, pivots):
                     kept.append((birth, z))
-                elif alpha > birth:
-                    out.add(p, birth, alpha)
+                elif snap.alpha > birth:
+                    out.add(p, birth, snap.alpha)
             kept.extend((born, z) for z in cycles[p] if _eliminate(z, pivots))
             live[p] = kept
     for p, classes in enumerate(live):
@@ -533,8 +533,8 @@ def coning_oracle(stream: EventStream, k: Optional[int] = None,
     Contract(i, j) becomes the cone with apex i over the closed star of
     j, after which j's star is frozen; the growing complex then has the
     same persistence as the tower. Intended as a small-instance oracle.
-    The stream is validated by the walk `tower_barcode` reads, so a
-    malformed stream raises MalformedStream.
+    A malformed stream raises MalformedStream: `replay` validates it
+    with `snapshots`, the walk `tower_barcode` reads.
     """
     if stream.mode != "simplicial":
         raise MalformedStream("coning oracle needs a simplicial stream")
@@ -543,9 +543,7 @@ def coning_oracle(stream: EventStream, k: Optional[int] = None,
     if k < 0:
         raise ValueError("k must be >= 0")
     k = min(k, stream.k)
-    # validation only: the coning below does not read the walk's snapshots
-    for _ in _walk_scales(stream):
-        pass
+    replay(stream)  # validation only: the coning below reads the events
     filt: List[Tuple[float, Tuple[int, ...]]] = []
     added: Set[Tuple[int, ...]] = set()
     current: Set[frozenset] = set()

@@ -51,6 +51,7 @@ __all__ = [
     "build_simplicial_tower",
     "build_cubical_tower",
     "replay",
+    "snapshots",
     "survival_experiment",
     "stirling2",
     "chain_count",
@@ -138,6 +139,13 @@ class EventStream:
 
     @classmethod
     def parse(cls, text: str) -> "EventStream":
+        # numbers are plain ASCII decimals: int and float would also take
+        # digit-group underscores and non-ASCII digits
+        if not text.isascii() or "_" in text:
+            for lineno, line in enumerate(text.split("\n"), start=1):
+                if not line.isascii() or "_" in line:
+                    raise MalformedStream("line %d: numbers must be plain ASCII decimals: %s"
+                                          % (lineno, ascii(line)))
         lines = text.splitlines()
         if not lines:
             raise MalformedStream("empty stream")
@@ -437,15 +445,26 @@ def build_cubical_tower(P: PointCloud, seed: int, *, metric="linf",
 
 
 class Snapshot:
-    """Replayed state at a scale boundary."""
+    """The complex after one scale group of a stream (the scale_ordinal-th).
+
+    cells[q] maps each q-cell, a sorted tuple of live vertex ids, to its
+    index, for q in 0..top (k for a simplicial stream, d for a cubical
+    one); a simplicial q-cell has q + 1 vertices, a cubical one 2^q
+    corners. steps[q] maps each q-cell index of the previous snapshot to
+    its image's index, or to None when the cell collapsed.
+    """
 
     def __init__(self, mode: str, alpha: Optional[float], scale_ordinal: int,
-                 live: Set[int], cells: Set[frozenset]):
+                 cells: List[Dict[Tuple[int, ...], int]], steps: List[List[Optional[int]]]):
         self.mode = mode
         self.alpha = alpha
         self.scale_ordinal = scale_ordinal
-        self.live = live
         self.cells = cells
+        self.steps = steps
+
+    @property
+    def live(self) -> Set[int]:
+        return {v for (v,) in self.cells[0]}
 
 
 def _find(parent: Dict[int, int], x: int) -> int:
@@ -455,19 +474,15 @@ def _find(parent: Dict[int, int], x: int) -> int:
     return x
 
 
-def _walk_scales(stream: EventStream) -> Iterator[tuple]:
-    """Validate the events and yield the complex after each scale group.
+def snapshots(stream: EventStream) -> Iterator[Snapshot]:
+    """Validate the events and yield the Snapshot after each scale group.
 
-    Yields (alpha, cells, steps) in fresh containers: cells[q] maps each
-    q-cell, a sorted tuple of live vertex ids, to its bit; steps[q] maps
-    each q-cell bit of the previous snapshot to its image's bit, or to
-    None when the cell collapsed (its image is kept in its lower
-    dimension). A simplicial q-cell has q + 1 vertices, a cubical one
-    2^q corners. Raises MalformedStream on dangling ids, dead
-    references, scales that are not finite and positive or that
-    decrease, cells of dimension outside 0..k (simplicial) or 0..d
-    (cubical), and simplices included without their facets; cubical
-    facets are not checked.
+    Each snapshot holds fresh containers. The stream is fully validated
+    only once the iterator is exhausted. Raises MalformedStream on
+    dangling ids, dead references, scales that are not finite and
+    positive or that decrease, cells of dimension outside 0..k
+    (simplicial) or 0..d (cubical), and simplices included without
+    their facets; cubical facets are not checked.
     """
     parent: Dict[int, int] = {}
     dim_of_id: Dict[int, int] = {}
@@ -479,9 +494,10 @@ def _walk_scales(stream: EventStream) -> Iterator[tuple]:
     top_dim = stream.k if simplicial else stream.d
     cells: List[Dict[Tuple[int, ...], int]] = [{} for _ in range(top_dim + 1)]
     alpha = None
+    ordinal = -1
 
-    def snapshot() -> tuple:
-        nonlocal cells
+    def snapshot() -> Snapshot:
+        nonlocal cells, ordinal
         # a vertex that is not a root now was contracted in this group
         moved = {j: _find(parent, j) for j in contracted}
         untouched = moved.keys().isdisjoint
@@ -512,7 +528,8 @@ def _walk_scales(stream: EventStream) -> Iterator[tuple]:
                 here[c] = len(here)
         group.clear()
         contracted.clear()
-        return alpha, cells, steps
+        ordinal += 1
+        return Snapshot(stream.mode, alpha, ordinal, cells, steps)
 
     for e in stream.events:
         if isinstance(e, Scale):
@@ -559,20 +576,14 @@ def _walk_scales(stream: EventStream) -> Iterator[tuple]:
         yield snapshot()
 
 
-def replay(stream: EventStream, upto: Optional[int] = None) -> Snapshot:
-    """Replay events through the contraction union-find.
-
-    `upto` selects a 0-based ordinal among the Scale events present in
-    the stream (None or past the end = the last; negative = none, an
-    empty snapshot). The whole stream is walked either way, so this
-    raises MalformedStream on every stream `_walk_scales` rejects.
-    """
-    ordinal, alpha, cells = -1, None, [{}]
-    for i, (a, c, _) in enumerate(_walk_scales(stream)):
-        if upto is None or i <= upto:
-            ordinal, alpha, cells = i, a, c
-    live = {v for (v,) in cells[0]}
-    return Snapshot(stream.mode, alpha, ordinal, live, {frozenset(c) for q in cells for c in q})
+def replay(stream: EventStream) -> Snapshot:
+    """The last of `snapshots(stream)` (the whole stream validated), or for a
+    stream without a scale the empty one: ordinal -1, alpha None, no cells."""
+    empty = [{} for _ in range((stream.k if stream.mode == "simplicial" else stream.d) + 1)]
+    snap = Snapshot(stream.mode, None, -1, empty, [[] for _ in empty])
+    for snap in snapshots(stream):
+        pass
+    return snap
 
 
 def stirling2(n: int, r: int) -> int:

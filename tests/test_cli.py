@@ -319,11 +319,13 @@ def test_stats_points_needs_byte_equality(tmp_path, capsys):
 def test_stats_fails_empty_final_complex(tmp_path, capsys):
     # the empty complex is not acyclic: its reduced b_-1 is 1
     f = tmp_path / "empty.txt"
-    f.write_text("H 3 2 1 linf 0 1 1 simplicial\n")
-    assert main(["stats", str(f)]) == EXIT_CHECK_FAILED
-    report = capsys.readouterr().out
-    assert "live-vertices=0" in report
-    assert "check final scale reduced-acyclic: 1 vs 0 FAIL" in report
+    for head, check in (("H 3 2 1 linf 0 1 1 simplicial", "reduced-acyclic: 1 vs 0"),
+                        ("H 3 2 0 linf 0 1 1 cubical", "connected: 0 vs 1")):
+        f.write_text(head + "\n")
+        assert main(["stats", str(f)]) == EXIT_CHECK_FAILED
+        report = capsys.readouterr().out
+        assert "live-vertices=0" in report
+        assert "check final scale %s FAIL" % check in report
 
 
 def test_stats_malformed_exit(tmp_path):
@@ -337,10 +339,16 @@ def test_stats_malformed_exit(tmp_path):
     "H -2 1 1 linf 0 1 1 simplicial\nS 1\nI 0 0\nI 1 0\n",
     "H 4 2 0 linf 0 1 1 cubical\nS 1\nI 0 0\nI 1 0\nI 2 -1 0 1\n",
     "H 3 2 2 linf 0 1 1 simplicial\nS 1\nI 0 0\nI 1 0\nI 2 0\nI 3 2 0 1 2\n",
+    # numbers are plain ASCII decimals: no digit-group underscores, no
+    # non-ASCII digits (U+0660 is ARABIC-INDIC DIGIT ZERO)
+    "H 1 1 1 linf 0 1 1 simplicial\nS 1\nI 0_0 0\n",
+    "H 1 1 1 linf 0 1 1 simplicial\nS 1\nI \u0660 0\n",
+    "H 1 1 1 linf 0 1 1 simplicial\nS 1_0\nI 0 0\n",
+    "H 1 1 1 linf 0 1_0 1 simplicial\nS 1\nI 0 0\n",
 ])
 def test_malformed_stream_values_exit(tmp_path, capsys, text):
     f = tmp_path / "bad.txt"
-    f.write_text(text)
+    f.write_text(text, encoding="utf-8")
     for args in (["stats"], ["tower-barcode"], ["tower-barcode", "--k", "0"]):
         assert main(args[:1] + [str(f)] + args[1:]) == EXIT_MALFORMED
         err = capsys.readouterr().err

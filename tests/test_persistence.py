@@ -29,6 +29,7 @@ from ripsapprox.tower import (
     build_cubical_tower,
     build_simplicial_tower,
     replay,
+    snapshots,
 )
 
 from conftest import random_cloud
@@ -287,10 +288,11 @@ def test_betti_circle_and_sphere():
 
 def test_betti_snapshot_paths():
     P = random_cloud(12, 6, 2)
-    stream = build_simplicial_tower(P, 1, seed=3)
-    snap = replay(stream, upto=0)
-    direct = betti(sorted(tuple(sorted(c)) for c in snap.cells))
-    assert betti(snap) == direct
+    for k in (1, 2):
+        stream = build_simplicial_tower(P, k, seed=3)
+        for snap in snapshots(stream):
+            direct = betti([c for q in snap.cells for c in q])
+            assert betti(snap) == direct, (k, snap.scale_ordinal)
 
     cstream = build_cubical_tower(P, seed=3)
     with pytest.raises(ValueError):

@@ -25,6 +25,7 @@ from ripsapprox.tower import (
     replay,
     scale_event_bound,
     simplicial_inclusion_bound,
+    snapshots,
     stirling2,
     survival_experiment,
     _chains_ending,
@@ -104,7 +105,7 @@ def test_single_point_stream():
         assert stream.m == 0 and stream.lam == 1.0
         assert stream.events == [Scale(1.0), Include(0, 0, ())]
         snap = replay(stream)
-        assert len(snap.live) == 1 and snap.cells == {frozenset([0])}
+        assert len(snap.live) == 1 and snap.cells == [{(0,): 0}, {}]
     # the one cell counts against the guardrail like any other
     with pytest.raises(GuardrailExceeded):
         build_simplicial_tower(P, 1, seed=5, guard_cells=0)
@@ -368,40 +369,41 @@ def test_towers_unchanged_with_bruteforce_spanned_faces(monkeypatch):
 HEAD = "H 4 1 1 linf 0 1 1 simplicial\n"
 
 
-def parse_replay(body, **kw):
-    return replay(EventStream.parse(HEAD + body), **kw)
+def parse_replay(body):
+    return replay(EventStream.parse(HEAD + body))
 
 
 def assert_rejected(body, head=HEAD):
-    """Both stream readers, and replay of the first scale only, refuse
+    """Both stream readers, and the snapshot walk read to its end, refuse
     the body with MalformedStream."""
     stream = EventStream.parse(head + body)
-    for read in (replay, tower_barcode, lambda s: replay(s, upto=0)):
+    for read in (replay, tower_barcode, lambda s: list(snapshots(s))):
         with pytest.raises(MalformedStream):
             read(stream)
 
 
 def test_replay_accepts_minimal_stream():
     snap = parse_replay("S 1\nI 0 0\nI 1 0\nI 2 1 0 1\n")
-    assert snap.cells == {frozenset([0]), frozenset([1]), frozenset([0, 1])}
+    assert snap.cells == [{(0,): 0, (1,): 1}, {(0, 1): 0}]
     assert snap.live == {0, 1}
     assert snap.alpha == 1.0 and snap.scale_ordinal == 0
 
 
 def test_replay_resolves_contractions():
     snap = parse_replay("S 1\nI 0 0\nI 1 0\nI 2 1 0 1\nS 2\nC 0 1\n")
-    assert snap.cells == {frozenset([0])}
+    assert snap.cells == [{(0,): 0}, {}]
     assert snap.live == {0}
 
 
-def test_replay_upto_prefix():
-    body = "S 1\nI 0 0\nI 1 0\nS 2\nC 0 1\n"
-    first = parse_replay(body, upto=0)
+def test_snapshots_every_scale():
+    stream = EventStream.parse(HEAD + "S 1\nI 0 0\nI 1 0\nS 2\nC 0 1\n")
+    first, full = snapshots(stream)
     assert first.live == {0, 1} and first.scale_ordinal == 0
-    full = parse_replay(body)
     assert full.live == {0} and full.scale_ordinal == 1
-    beyond = parse_replay(body, upto=7)
-    assert beyond.live == {0}
+    assert vars(replay(stream)) == vars(full)
+    # no scale: the empty snapshot, shaped like every other of the stream
+    empty = replay(EventStream.parse(HEAD))
+    assert (empty.scale_ordinal, empty.alpha, empty.cells) == (-1, None, [{}, {}])
 
 
 def test_replay_rejects_event_before_scale():
@@ -471,7 +473,7 @@ def test_replay_cubical_arity():
     stream = EventStream.parse(
         head + "S 1\nI 0 0\nI 1 0\nI 2 0\nI 3 0\nI 4 2 0 1 2 3\n")
     snap = replay(stream)
-    assert frozenset([0, 1, 2, 3]) in snap.cells
+    assert (0, 1, 2, 3) in snap.cells[2]
     with pytest.raises(MalformedStream):
         replay(EventStream.parse(head + "S 1\nI 0 0\nI 1 0\nI 2 2 0 1\n"))
 
@@ -503,7 +505,7 @@ def test_mutation_outcomes_are_pinned():
         if snap is None:
             outcomes.append("rejected")
             continue
-        outcome = "%d %d" % (len(snap.live), len(snap.cells))
+        outcome = "%d %d" % (len(snap.live), sum(map(len, snap.cells)))
         if stream.mode == "simplicial":
             outcome += "\n" + bc.to_text()
             scales = stream.scale_values()
