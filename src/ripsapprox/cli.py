@@ -87,7 +87,8 @@ def _load_stream(path: str) -> Tuple[EventStream, bytes]:
     """The parsed stream and the bytes of its file."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    return EventStream.parse(raw.decode()), raw
+    # latin-1 decodes any bytes; parse refuses the non-ASCII ones by line
+    return EventStream.parse(raw.decode("latin-1")), raw
 
 
 def _claimed_factor(metric: str, d: int) -> float:

@@ -77,49 +77,55 @@ def incident_faces(v: Face, directions: Iterable[int]) -> Iterable[Face]:
 
 
 def spanned_faces(frame: GridFrame, V: Set[Face]) -> Set[Face]:
-    """All faces of the grid spanned by the active vertices.
+    """All faces of the grid spanned by the active vertices (see `_spanned`)."""
+    if len(V) == 0:
+        raise ValueError("no active vertices")
+    if frame.d > MAX_DIM:
+        raise ValueError("d > %d unsupported" % MAX_DIM)
+    if any(v.mask for v in V):
+        raise ValueError("active vertices must be 0-faces")
+    codec = _FaceCodec(frame.d, max(abs(x) for v in V for x in v.anchor))
+    return {codec.unpack(f, frame.s) for f in _spanned(set(map(codec.pack, V)), codec)}
+
+
+def _spanned(V: Set[int], codec: _FaceCodec) -> Set[int]:
+    """All faces spanned by the packed active vertices V, packed.
 
     A face is spanned exactly when it is the bounding box of a nonempty
     set of active vertices of index L-infinity diameter at most one. A
     neighbour w of v (|w - v| <= 1 coordinate-wise) is coded by two
     direction bitmasks, `plus` where w_i = v_i + 1 and `minus` where
-    w_i = v_i - 1; neighbours are found by descending a coordinate trie
-    of the active vertices along v_i - 1, v_i, v_i + 1, so only existing
-    prefixes are visited (never all 3^d offsets, never all of V). The
-    boxes around v are then the closure of (P, N) = (0, 0) under the
-    join (P | plus, N | minus) with v's neighbours, kept while
-    P & N == 0, and box (P, N) is the face with anchor v - N and mask
-    P | N.
+    w_i = v_i - 1. Neighbours are found by descending the key prefixes
+    of V (prefix i holds fields 0..i) along the fields v_i - 1, v_i,
+    v_i + 1, so only existing prefixes are visited (never all 3^d
+    offsets, never all of V). The boxes around v are then the closure
+    of (P, N) = (0, 0) under the join (P | plus, N | minus) with v's
+    neighbours, kept while P & N == 0, and box (P, N) is the face with
+    anchor v - e_N and mask P | N: key v + P - corners(N)[-1], since
+    corners(N)[-1] is lift(N) - N.
     """
-    if len(V) == 0:
-        raise ValueError("no active vertices")
-    if frame.d > MAX_DIM:
-        raise ValueError("d > %d unsupported" % MAX_DIM)
-    trie: dict = {}
+    W, field, corners = codec.width, (1 << codec.width) - 1, codec.corners
+    shifts = [codec.d + W * (codec.d - 1 - i) for i in range(codec.d)]
+    prefixes = [{v >> shift for v in V} for shift in shifts]
+    out: Set[int] = set()
     for v in V:
-        node = trie
-        for x in v.anchor:
-            node = node.setdefault(x, {})
-    s = frame.s
-    out: Set[Face] = set()
-    for v in V:
-        near = [(trie, 0, 0)]
+        near = [(0, 0, 0)]
         bit = 1
-        for x in v.anchor:
+        for shift, level in zip(shifts, prefixes):
+            x = v >> shift & field
             step = []
-            for node, plus, minus in near:
-                for y, p, m in ((x - 1, 0, bit), (x, 0, 0), (x + 1, bit, 0)):
-                    child = node.get(y)
-                    if child is not None:
-                        step.append((child, plus | p, minus | m))
+            for pre, plus, minus in near:
+                pre <<= W
+                for y, p, m in ((pre + x - 1, 0, bit), (pre + x, 0, 0), (pre + x + 1, bit, 0)):
+                    if y in level:
+                        step.append((y, plus | p, minus | m))
             near = step
             bit <<= 1
         boxes = {(0, 0)}
         for _, plus, minus in near:
             if plus | minus:
                 boxes |= {(P | plus, N | minus) for P, N in boxes if not (P | plus) & (N | minus)}
-        for P, N in boxes:
-            out.add(Face(s, tuple([x - (N >> i & 1) for i, x in enumerate(v.anchor)]), P | N))
+        out.update([v + P - corners(N)[-1] for P, N in boxes])
     return out
 
 

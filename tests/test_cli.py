@@ -355,6 +355,15 @@ def test_malformed_stream_values_exit(tmp_path, capsys, text):
         assert err.count("\n") == 1 and err.startswith("malformed stream: ")
 
 
+def test_non_utf8_stream_exits_malformed(tmp_path, capsys):
+    f = tmp_path / "bad.txt"
+    f.write_bytes(b"H 1 1 1 linf 0 1 1 simplicial\nS 1\nI \xff 0\n")
+    for cmd in ("stats", "tower-barcode"):
+        assert main([cmd, str(f)]) == EXIT_MALFORMED
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("malformed stream: line 3: ")
+
+
 @settings(max_examples=200, deadline=None)
 @given(text=mutated_stream())
 def test_mutated_streams_exit_cleanly(tmp_path_factory, text):

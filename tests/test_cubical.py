@@ -92,6 +92,9 @@ def test_spanned_faces_empty_rejected():
     fr = frames_fixed(1.0, [(1, 1)])[0]
     with pytest.raises(ValueError):
         spanned_faces(fr, vmap(0, {}))
+    # a packed edge would put its mask bits in every spanned key
+    with pytest.raises(ValueError, match="0-faces"):
+        spanned_faces(fr, {Face(0, (0, 0), 0), Face(0, (0, 0), 0b01)})
 
 
 def test_spanned_faces_matches_bruteforce():
@@ -107,8 +110,12 @@ def test_spanned_faces_matches_bruteforce():
             else:
                 zs = {z for z in block if rng.random() < fill}
                 zs = zs or {block[int(rng.integers(len(block)))]}
-            V = vmap(0, {z: [i] for i, z in enumerate(sorted(zs))})
-            assert spanned_faces(fr, V) == spanned_faces_bruteforce(fr, V), (d, sorted(zs))
+            want = spanned_faces_bruteforce(fr, vmap(0, zs))
+            # translated far out too: fields of 2^70 pass 64 bits
+            for t in (0, -7, 1 << 70, -1 << 70):
+                V = vmap(0, {tuple(x + t for x in z) for z in zs})
+                moved = {Face(0, tuple(x + t for x in f.anchor), f.mask) for f in want}
+                assert spanned_faces(fr, V) == moved, (d, t, sorted(zs))
 
 
 def test_spanned_faces_dimension_limit():

@@ -1,13 +1,14 @@
 import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from ripsapprox import tower
-from ripsapprox.cubical import spanned_faces_bruteforce
+from ripsapprox.cubical import active_vertices, spanned_faces_bruteforce
 from ripsapprox.geometry import PointCloud, diameter, spread
-from ripsapprox.lattice import Face, _FaceCodec
+from ripsapprox.lattice import Face, GridFrame, ShiftSequence, _FaceCodec, build_frames
 from ripsapprox.tower import (
     Contract,
     EventStream,
@@ -357,10 +358,39 @@ def test_towers_unchanged_with_bruteforce_spanned_faces(monkeypatch):
     clouds = [random_cloud(70, 24, 2), random_cloud(71, 10, 3), random_cloud(72, 8, 4)]
     built = [(build_cubical_tower(P, seed=5), build_simplicial_tower(P, 2, seed=5))
              for P in clouds]
-    monkeypatch.setattr(tower, "spanned_faces", spanned_faces_bruteforce)
+
+    def bruteforce(V, codec):
+        frame = GridFrame(0, 1.0, (0,) * codec.d)
+        faces = spanned_faces_bruteforce(frame, {codec.unpack(v, 0) for v in V})
+        return set(map(codec.pack, faces))
+
+    monkeypatch.setattr(tower, "_spanned", bruteforce)
     for P, (cubical, simplicial) in zip(clouds, built):
         assert build_cubical_tower(P, seed=5) == cubical
         assert build_simplicial_tower(P, 2, seed=5) == simplicial
+
+
+def test_build_packs_only_the_scale_0_vertices(monkeypatch):
+    # faces stay packed keys from scale 0's active vertices to the stream
+    P = random_cloud(73, 12, 3)
+    ladder = relevant_scales(P)
+    V0 = active_vertices(build_frames(ladder.lam, ladder.m, 3, ShiftSequence(5, 3))[0], P)
+    calls = Counter()
+
+    def counted(name):
+        method = getattr(_FaceCodec, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
+        return wrapper
+
+    for name in ("pack", "unpack"):
+        monkeypatch.setattr(_FaceCodec, name, counted(name))
+    for build in (lambda: build_simplicial_tower(P, 2, seed=5), lambda: build_cubical_tower(P, seed=5)):
+        calls.clear()
+        assert build().m == ladder.m >= 2
+        assert calls == {"pack": len(V0)}
 
 
 # --- replay validation ---
