@@ -547,6 +547,26 @@ def test_mutation_outcomes_are_pinned():
     assert digest == MUTATION_OUTCOMES_SHA256
 
 
+MUTATION_MESSAGES_SHA256 = "59c718756780b20a058d879af2b04e5129e2741b08797342c15a5fcc6a9fe2f6"
+
+
+def test_mutation_messages_are_pinned():
+    """Every one-line mutation of the fuzz bases, in MUTATIONS order, ends
+    in the MalformedStream message of parse then replay, or "ok": the
+    outcome pin above records only "rejected", not which message."""
+    messages = []
+    for text in MUTATIONS:
+        try:
+            replay(EventStream.parse(text))
+            messages.append("ok")
+        except MalformedStream as e:
+            messages.append(str(e))
+    assert len(messages) == 1826
+    assert sum(m != "ok" for m in messages) == 1401
+    digest = hashlib.sha256(repr(messages).encode()).hexdigest()
+    assert digest == MUTATION_MESSAGES_SHA256
+
+
 # --- counting helpers ---
 
 
