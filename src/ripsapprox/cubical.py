@@ -32,7 +32,6 @@ __all__ = [
     "active_vertices",
     "is_spanned",
     "spanned_faces",
-    "spanned_faces_bruteforce",
     "closure",
     "cubical_boundary",
     "incident_faces",
@@ -77,15 +76,16 @@ def incident_faces(v: Face, directions: Iterable[int]) -> Iterable[Face]:
 
 
 def spanned_faces(frame: GridFrame, V: Set[Face]) -> Set[Face]:
-    """All faces of the grid spanned by the active vertices (see `_spanned`)."""
+    """All faces of the grid spanned by the active vertices: the faces
+    incident to an active vertex that `is_spanned` accepts. This is the
+    definition; the tower build runs `_spanned` on packed keys instead."""
     if len(V) == 0:
         raise ValueError("no active vertices")
     if frame.d > MAX_DIM:
         raise ValueError("d > %d unsupported" % MAX_DIM)
     if any(v.mask for v in V):
         raise ValueError("active vertices must be 0-faces")
-    codec = _FaceCodec(frame.d, max(abs(x) for v in V for x in v.anchor))
-    return {codec.unpack(f, frame.s) for f in _spanned(set(map(codec.pack, V)), codec)}
+    return {f for v in V for f in incident_faces(v, range(frame.d)) if is_spanned(f, V)}
 
 
 def _spanned(V: Set[int], codec: _FaceCodec) -> Set[int]:
@@ -126,16 +126,6 @@ def _spanned(V: Set[int], codec: _FaceCodec) -> Set[int]:
             if plus | minus:
                 boxes |= {(P | plus, N | minus) for P, N in boxes if not (P | plus) & (N | minus)}
         out.update([v + P - corners(N)[-1] for P, N in boxes])
-    return out
-
-
-def spanned_faces_bruteforce(frame: GridFrame, V: Set[Face]) -> Set[Face]:
-    """Unpruned reference: full 3^d star of every active vertex."""
-    out: Set[Face] = set()
-    for v in V:
-        for f in incident_faces(v, range(frame.d)):
-            if is_spanned(f, V):
-                out.add(f)
     return out
 
 
@@ -207,20 +197,15 @@ def _close(spanned: Set[int], codec: _FaceCodec) -> Dict[int, Set[int]]:
 
 
 def closure(spanned: Iterable[Face]) -> CubicalComplex:
-    """Close a spanned-face set downward; the added faces are secondary."""
+    """Close a spanned-face set downward: the union of the subfaces of the
+    spanned faces; the added faces are secondary. This is the definition;
+    the tower build runs `_close` on packed keys instead."""
     spanned = set(spanned)
     scales = {f.s for f in spanned}
     if len(scales) > 1:
         raise ValueError("faces from multiple scales")
     s = scales.pop() if scales else 0
-    if not spanned:
-        return CubicalComplex(s, (), ())
-    # a face's subfaces reach one past its anchor
-    codec = _FaceCodec(len(next(iter(spanned)).anchor),
-                       max(abs(x) for f in spanned for x in f.anchor) + 1)
-    by_mask = _close(set(map(codec.pack, spanned)), codec)
-    return CubicalComplex(s, (codec.unpack(x, s) for keys in by_mask.values() for x in keys),
-                          spanned)
+    return CubicalComplex(s, {g for f in spanned for g in subfaces(f)}, spanned)
 
 
 def cubical_boundary(U: CubicalComplex, p: int):

@@ -9,28 +9,21 @@ from ripsapprox.cubical import (
     incident_faces,
     is_spanned,
     spanned_faces,
-    spanned_faces_bruteforce,
+    _spanned,
 )
 from ripsapprox.geometry import PointCloud
 from ripsapprox.lattice import (
     MAX_DIM,
     Face,
     GridFrame,
-    ShiftSequence,
-    build_frames,
     face_map_g,
     face_vertices,
     locate,
     vertex_map_g,
+    _FaceCodec,
 )
 
-from conftest import random_cloud
-
-
-def frames_fixed(lam, signs):
-    rows = [tuple(r) for r in signs]
-    sh = ShiftSequence.fixed(rows)
-    return build_frames(lam, len(rows), sh.d, sh)
+from conftest import frames_fixed, random_cloud
 
 
 def vmap(s, assignment):
@@ -110,12 +103,15 @@ def test_spanned_faces_matches_bruteforce():
             else:
                 zs = {z for z in block if rng.random() < fill}
                 zs = zs or {block[int(rng.integers(len(block)))]}
-            want = spanned_faces_bruteforce(fr, vmap(0, zs))
-            # translated far out too: fields of 2^70 pass 64 bits
+            want = spanned_faces(fr, vmap(0, zs))
+            # the build's packed search, translated far out too: fields
+            # of 2^70 pass 64 bits
             for t in (0, -7, 1 << 70, -1 << 70):
                 V = vmap(0, {tuple(x + t for x in z) for z in zs})
                 moved = {Face(0, tuple(x + t for x in f.anchor), f.mask) for f in want}
-                assert spanned_faces(fr, V) == moved, (d, t, sorted(zs))
+                codec = _FaceCodec(d, max(abs(x) for v in V for x in v.anchor))
+                got = {codec.unpack(f, 0) for f in _spanned(set(map(codec.pack, V)), codec)}
+                assert got == moved, (d, t, sorted(zs))
 
 
 def test_spanned_faces_dimension_limit():

@@ -5,8 +5,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ripsapprox import tower
-from ripsapprox.cubical import active_vertices, spanned_faces_bruteforce
+from ripsapprox import cubical, tower
+from ripsapprox.cubical import active_vertices, spanned_faces
 from ripsapprox.geometry import PointCloud, diameter, spread
 from ripsapprox.lattice import Face, GridFrame, ShiftSequence, _FaceCodec, build_frames
 from ripsapprox.tower import (
@@ -361,13 +361,34 @@ def test_towers_unchanged_with_bruteforce_spanned_faces(monkeypatch):
 
     def bruteforce(V, codec):
         frame = GridFrame(0, 1.0, (0,) * codec.d)
-        faces = spanned_faces_bruteforce(frame, {codec.unpack(v, 0) for v in V})
+        faces = spanned_faces(frame, {codec.unpack(v, 0) for v in V})
         return set(map(codec.pack, faces))
 
     monkeypatch.setattr(tower, "_spanned", bruteforce)
     for P, (cubical, simplicial) in zip(clouds, built):
         assert build_cubical_tower(P, seed=5) == cubical
         assert build_simplicial_tower(P, 2, seed=5) == simplicial
+
+
+def test_definition_and_build_share_no_code(monkeypatch):
+    """The Face-side definition runs without the build's packed search and
+    closure, and the build runs without the definition."""
+    P = random_cloud(74, 9, 3)
+    stream = build_simplicial_tower(P, 2, seed=5)
+    built = [stream, build_cubical_tower(P, seed=5)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called across the definition/build line")
+
+    with monkeypatch.context() as patch:
+        for name in ("_spanned", "_close"):
+            patch.setattr(cubical, name, refuse)
+        assert len(list(definition_complexes(P, stream))) == stream.m + 1
+    # a definition visits all 3^d faces around each active vertex
+    for name in ("spanned_faces", "closure", "is_spanned", "incident_faces"):
+        monkeypatch.setattr(cubical, name, refuse)
+    monkeypatch.setattr(tower, "spanned_faces", refuse)
+    assert [build_simplicial_tower(P, 2, seed=5), build_cubical_tower(P, seed=5)] == built
 
 
 def test_build_packs_only_the_scale_0_vertices(monkeypatch):
