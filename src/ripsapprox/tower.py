@@ -132,12 +132,9 @@ class EventStream:
             if isinstance(e, Scale):
                 buf.write("S %s\n" % _fmt_g17(e.alpha))
             elif isinstance(e, Include):
-                if e.vertices:
-                    buf.write("I %d %d %s\n" % (e.id, e.dim, " ".join(str(v) for v in e.vertices)))
-                else:
-                    buf.write("I %d %d\n" % (e.id, e.dim))
+                buf.write(("I %d %d" + " %d" * len(e.vertices) + "\n") % (e.id, e.dim, *e.vertices))
             else:
-                buf.write("C %d %d\n" % (e.i, e.j))
+                buf.write("C %d %d\n" % e)
         return buf.getvalue()
 
     @classmethod
