@@ -29,6 +29,13 @@ def random_cloud(seed, n, d, box=10.0):
             return PointCloud(pts)
 
 
+def frames_fixed(lam, signs, d=None):
+    """The frames of a ladder with hand-picked shift signs, one row per step."""
+    rows = [tuple(r) for r in signs]
+    sh = ShiftSequence.fixed(rows, d=d)
+    return build_frames(lam, len(rows), sh.d, sh)
+
+
 def definition_complexes(P, stream):
     """Each scale's complex of the tower `stream` built from P, from the
     definition: the scale-0 active vertices are the cells that hold a

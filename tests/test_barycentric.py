@@ -5,15 +5,9 @@ import pytest
 
 from ripsapprox.barycentric import FlagSimplex, build_order_complex, simplicial_image
 from ripsapprox.cubical import active_vertices, closure, spanned_faces
-from ripsapprox.lattice import Face, ShiftSequence, build_frames
+from ripsapprox.lattice import Face
 
-from conftest import random_cloud
-
-
-def frames_fixed(lam, signs):
-    rows = [tuple(r) for r in signs]
-    sh = ShiftSequence.fixed(rows)
-    return build_frames(lam, len(rows), sh.d, sh)
+from conftest import frames_fixed, random_cloud
 
 
 def square_complex():

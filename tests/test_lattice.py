@@ -20,11 +20,7 @@ from ripsapprox.lattice import (
     _FaceCodec,
 )
 
-
-def frames_fixed(lam, signs, d=None):
-    rows = [tuple(r) for r in signs]
-    sh = ShiftSequence.fixed(rows, d=d)
-    return build_frames(lam, len(rows), sh.d, sh)
+from conftest import frames_fixed
 
 
 # --- shift sequences ---
