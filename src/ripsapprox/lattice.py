@@ -29,8 +29,8 @@ __all__ = [
     "is_subface",
 ]
 
-# face masks are kept in a single machine word; beyond ~32 the 3^d/6^d
-# blowup makes the construction infeasible anyway
+# a guardrail, not a width: keys and masks are unbounded ints, but the
+# 3^d active faces and 6^d cells per point are out of reach beyond ~32
 MAX_DIM = 32
 
 _MASK64 = (1 << 64) - 1
