@@ -15,7 +15,7 @@ print("stream is plain text, %d lines, round-trips: %s"
 # snapshots validates and materializes the complex after each scale group
 for snap in snapshots(stream):
     print("scale %d  alpha=%-8g cells=%-5d live vertices=%-4d reduced betti=%s"
-          % (snap.scale_ordinal, snap.alpha, sum(map(len, snap.cells)), len(snap.live),
+          % (snap.scale_ordinal, snap.alpha, sum(map(len, snap.cells)), len(snap.cells[0]),
              betti(snap)))
 
 # the final complex is one subdivided cube: connected, and with flags up to

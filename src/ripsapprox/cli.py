@@ -197,7 +197,7 @@ def _stats_checks(stream: EventStream, raw: bytes, points_path: Optional[str],
         # the final complex is contractible, so not empty (reduced b_-1 is
         # 1 for the empty complex), and a stream capped at k < d holds its
         # k-skeleton, whose b_k need not vanish
-        final_betti = [int(not snap.live)] + betti(snap)[:None if k == d else k]
+        final_betti = [int(not snap.cells[0])] + betti(snap)[:None if k == d else k]
         checks.append(("final scale reduced-acyclic", sum(final_betti),
                        0, not any(final_betti)))
     else:
@@ -236,7 +236,7 @@ def cmd_stats(args) -> int:
              "final scale: ordinal=%d alpha=%s live-vertices=%d cells=%d"
              % (snap.scale_ordinal,
                 "%.17g" % snap.alpha if snap.alpha is not None else "none",
-                len(snap.live), sum(map(len, snap.cells)))]
+                len(snap.cells[0]), sum(map(len, snap.cells)))]
     ok = True
     for name, observed, bound, passed in checks:
         ok = ok and passed

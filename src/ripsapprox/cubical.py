@@ -59,17 +59,13 @@ def is_spanned(f: Face, V: Set[Face]) -> bool:
     return True
 
 
-def incident_faces(v: Face, directions: Iterable[int]) -> Iterable[Face]:
-    """Faces incident to the vertex v whose mask lies inside `directions`.
+def incident_faces(v: Face) -> Iterable[Face]:
+    """The 3^d faces incident to the vertex v.
 
     A face with mask M is incident to v exactly when its anchor is a
-    corner of the M-box anchored at v - e_M; with all d directions this
-    enumerates the full 3^d star.
+    corner of the M-box anchored at v - e_M.
     """
-    allowed = 0
-    for i in directions:
-        allowed |= 1 << i
-    for mask in _submasks(allowed):
+    for mask in _submasks((1 << v.d) - 1):
         low = tuple([x - (mask >> i & 1) for i, x in enumerate(v.anchor)])
         for c in _corners(low, mask).values():
             yield Face(v.s, c, mask)
@@ -85,7 +81,7 @@ def spanned_faces(frame: GridFrame, V: Set[Face]) -> Set[Face]:
         raise ValueError("d > %d unsupported" % MAX_DIM)
     if any(v.mask for v in V):
         raise ValueError("active vertices must be 0-faces")
-    return {f for v in V for f in incident_faces(v, range(frame.d)) if is_spanned(f, V)}
+    return {f for v in V for f in incident_faces(v) if is_spanned(f, V)}
 
 
 def _spanned(V: Set[int], codec: _FaceCodec) -> Set[int]:

@@ -114,12 +114,11 @@ def _feasible(c: float, nA: int, nB: int, pair, delA, delB) -> bool:
 
 
 def _split(intervals: List[Interval]) -> Tuple[List[Interval], List[Interval]]:
-    """Sorted (bars that cannot be deleted, the rest)."""
+    """Sorted (bars that cannot be deleted, the rest). The bars come from
+    a `Barcode`, which holds only bars with 0 <= birth <= death."""
     fixed: List[Interval] = []
     rest: List[Interval] = []
     for iv in sorted(intervals):
-        if not 0.0 <= iv[0] <= iv[1]:
-            raise ValueError("interval needs 0 <= birth <= death: %r" % (iv,))
         (rest if deletion_cost(iv) < INF else fixed).append(iv)
     return fixed, rest
 

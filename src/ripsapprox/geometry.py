@@ -11,8 +11,7 @@ import numpy as np
 
 __all__ = [
     "PointCloud",
-    "linf_distance",
-    "l2_distance",
+    "distance",
     "closest_pair",
     "diameter",
     "spread",
@@ -38,21 +37,14 @@ def _distance(p, q, metric: str) -> np.ndarray:
     return dist
 
 
-def _point_distance(p, q, metric: str) -> float:
+def distance(p, q, metric: str) -> float:
+    """The distance between two points: "linf" is the max coordinate
+    difference, "l2" the Euclidean distance. Raises ValueError when the
+    dimensions differ, for an unknown metric and on float64 overflow."""
     p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     if p.shape != q.shape:
         raise ValueError("dimension mismatch: %s vs %s" % (p.shape, q.shape))
     return float(_distance(p, q, metric))
-
-
-def linf_distance(p, q) -> float:
-    """Chebyshev distance: max coordinate difference."""
-    return _point_distance(p, q, "linf")
-
-
-def l2_distance(p, q) -> float:
-    """Euclidean distance."""
-    return _point_distance(p, q, "l2")
 
 
 class PointCloud:

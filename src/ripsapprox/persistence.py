@@ -18,14 +18,12 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .barycentric import SimplicialComplex
 from .cubical import CubicalComplex, cubical_boundary
 from .geometry import PointCloud
 from .tower import (EventStream, GuardrailExceeded, Include, MalformedStream, Scale, Snapshot,
                     _find, _fmt_g17, replay, snapshots)
 
 __all__ = [
-    "Filtration",
     "Barcode",
     "rips_filtration",
     "rips_barcode",
@@ -115,24 +113,6 @@ class Barcode:
         return "Barcode(%s)" % ", ".join(parts)
 
 
-class Filtration:
-    """Ordered simplices (vertex-id tuples) with non-decreasing values."""
-
-    def __init__(self, simplices: Sequence[Tuple[float, Tuple[int, ...]]]):
-        self.simplices = list(simplices)
-        prev = -INF
-        for v, _ in self.simplices:
-            if v < prev:
-                raise ValueError("filtration values decrease")
-            prev = v
-
-    def __len__(self):
-        return len(self.simplices)
-
-    def __iter__(self):
-        return iter(self.simplices)
-
-
 def _rips_size(n: int, k: int, max_simplices: Optional[int] = None) -> int:
     """Number of simplices of dimension <= k+1 on n vertices, checked
     against the guard."""
@@ -145,8 +125,9 @@ def _rips_size(n: int, k: int, max_simplices: Optional[int] = None) -> int:
 
 
 def rips_filtration(P: PointCloud, metric="linf", k: int = 1,
-                    max_simplices: Optional[int] = 10_000_000) -> Filtration:
-    """All simplices of dimension <= k+1 with value diam/2.
+                    max_simplices: Optional[int] = 10_000_000) -> list:
+    """All simplices of dimension <= k+1 with value diam/2, as a sorted
+    list of (value, vertex-tuple).
 
     One dimension above the homology cap so that deaths in dimension k
     come out right. Order: value, then dimension, then vertex ids.
@@ -164,7 +145,7 @@ def rips_filtration(P: PointCloud, metric="linf", k: int = 1,
                 val = max(dm[a][b] for a, b in itertools.combinations(combo, 2)) / 2.0
             out.append((val, combo))
     out.sort(key=lambda t: (t[0], len(t[1]), t[1]))
-    return Filtration(out)
+    return out
 
 
 def rips_barcode(P: PointCloud, metric="linf", k: int = 1,
@@ -344,10 +325,15 @@ def _reduce_cells(cells: Sequence[Tuple[float, int, List[int]]], homology_cap: O
 
 
 def _cells_from_simplices(simplices: Sequence[Tuple[float, Tuple[int, ...]]]):
-    """Cell list with face indices for an ordered simplex filtration."""
+    """Cell list with face indices for an ordered simplex filtration; a
+    ValueError when a value decreases, a simplex repeats or a face is missing."""
     index: Dict[Tuple[int, ...], int] = {}
     cells = []
+    prev = -INF
     for j, (val, verts) in enumerate(simplices):
+        if val < prev:
+            raise ValueError("filtration values decrease")
+        prev = val
         verts = tuple(sorted(verts))
         if verts in index:
             raise ValueError("simplex %r appears twice" % (verts,))
@@ -366,12 +352,12 @@ def _cells_from_simplices(simplices: Sequence[Tuple[float, Tuple[int, ...]]]):
 def reduce(filtration, homology_cap: Optional[int] = None) -> Barcode:
     """Reduced-homology barcode of a filtration; zero-length intervals dropped.
 
-    Accepts a Filtration or a plain list of (value, vertex-tuple), and
-    raises ValueError when the values decrease. The cap defaults to one
-    below the top cell dimension present, matching a Rips filtration
-    built with one extra dimension.
+    Takes a list of (value, vertex-tuple) in filtration order, as
+    `rips_filtration` returns it, and raises ValueError when the values
+    decrease. The cap defaults to one below the top cell dimension
+    present, matching a Rips filtration built with one extra dimension.
     """
-    cells = _cells_from_simplices(Filtration(filtration).simplices)
+    cells = _cells_from_simplices(filtration)
     if homology_cap is None:
         top = max((c[1] for c in cells), default=0)
         homology_cap = max(top - 1, 0)
@@ -436,8 +422,8 @@ def _cycles_and_boundaries(columns: List[List[int]], top: int):
 def betti(obj) -> List[int]:
     """Reduced Betti numbers per dimension, by cycle and boundary ranks.
 
-    Accepts a CubicalComplex, an order SimplicialComplex, a replayed
-    Snapshot, or any iterable of simplex vertex-tuples.
+    Accepts a CubicalComplex, a replayed Snapshot, or any iterable of
+    simplex vertex-tuples.
     """
     if isinstance(obj, CubicalComplex):
         columns = [[1] * len(obj.faces_of_dim(0))] if obj.dim >= 0 else []
@@ -451,8 +437,7 @@ def betti(obj) -> List[int]:
             # up to the highest non-empty dimension, as for a tuple iterable
             cells = obj.cells[:max((q + 1 for q, c in enumerate(obj.cells) if c), default=0)]
         else:
-            simplices = (obj.all_simplices() if isinstance(obj, SimplicialComplex)
-                         else [tuple(sorted(t)) for t in obj])
+            simplices = [tuple(sorted(t)) for t in obj]
             cells = []
             for t in sorted(set(simplices), key=lambda t: (len(t), t)):
                 while len(cells) < len(t):

@@ -32,11 +32,11 @@ from .geometry import METRICS, PointCloud, closest_pair, diameter
 from .lattice import (
     MAX_DIM,
     Face,
+    GridFrame,
     ShiftSequence,
     _face_image,
     _FaceCodec,
     _splitmix64,
-    build_frames,
 )
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "TowerAudit",
     "ScaleAudit",
     "Snapshot",
-    "relevant_scales",
     "build_simplicial_tower",
     "build_cubical_tower",
     "replay",
@@ -202,17 +201,6 @@ class ScaleLadder:
     def alpha(self, s: int) -> float:
         return math.ldexp(self.lam, s)
 
-    @property
-    def alphas(self) -> List[float]:
-        return [self.alpha(s) for s in range(self.m + 1)]
-
-
-def relevant_scales(P: PointCloud) -> ScaleLadder:
-    """lambda = closest-pair(Linf)/(3d); m minimal with lambda*2^m >= diam."""
-    if P.n < 2:
-        raise ValueError("need n >= 2 for a scale ladder")
-    return _ladder_for(P, None, None)
-
 
 def _ladder_for(P: PointCloud, lam, max_scales) -> ScaleLadder:
     """The ladder from lam (default closest-pair(Linf)/(3d); 1.0 for one
@@ -256,7 +244,6 @@ class ScaleAudit:
     id_of_face: Dict[Face, int]
     new_active: int
     new_secondary: int
-    includes_by_dim: Dict[int, int]
     n_contractions: int
 
 
@@ -271,10 +258,6 @@ class TowerAudit:
     @property
     def total_secondary_inclusions(self) -> int:
         return sum(sc.new_secondary for sc in self.scales)
-
-    @property
-    def total_inclusions(self) -> int:
-        return sum(sum(sc.includes_by_dim.values()) for sc in self.scales)
 
 
 def chain_count(max_len: int, dim: int) -> int:
@@ -316,7 +299,6 @@ def _build_tower(P: PointCloud, k: int, seed: int, metric: str, mode: str, lam=N
     ladder = _ladder_for(P, lam, max_scales)
     d = P.d
     shifts = ShiftSequence(seed, d)
-    frames = build_frames(ladder.lam, ladder.m, d, shifts)
     audit = TowerAudit() if with_audit else None
     # flags are strict subface chains of at most flag_len faces; a
     # cubical tower emits the faces alone
@@ -324,7 +306,7 @@ def _build_tower(P: PointCloud, k: int, seed: int, metric: str, mode: str, lam=N
     events: List = []
     next_id = 0
     total_cells = 0
-    V = active_vertices(frames[0], P)
+    V = active_vertices(GridFrame(0, ladder.lam, (0,) * d), P)
     # faces are packed keys from here on (`Face` only in the audit). No
     # anchor outgrows the scale-0 vertices: a complex lies in the
     # bounding box of its active vertices, and g maps an anchor a to
@@ -338,7 +320,7 @@ def _build_tower(P: PointCloud, k: int, seed: int, metric: str, mode: str, lam=N
     id_of_face: Dict[int, int] = {}
     faces: List[int] = []
 
-    for s, frame in enumerate(frames):
+    for s in range(ladder.m + 1):
         # the grid map g on the faces of the previous complex (none at
         # scale 0), one image per face: `groups` maps an image to the ids
         # of the faces that map onto it, `images` holds every image
@@ -412,14 +394,13 @@ def _build_tower(P: PointCloud, k: int, seed: int, metric: str, mode: str, lam=N
                     next_id += 1
 
         if group:
-            events.append(Scale(frame.alpha))
+            events.append(Scale(ladder.alpha(s)))
             events.extend(group)
         if audit is not None:
             new_active = sum(f in spanned for new in new_by_dim for f in new)
             audit.scales.append(ScaleAudit(
-                s, frame.alpha, {codec.unpack(f, s): i for f, i in new_id_of_face.items()},
-                new_active, n_new - new_active,
-                Counter(e.dim for e in group[n_contr:]), n_contr))
+                s, ladder.alpha(s), {codec.unpack(f, s): i for f, i in new_id_of_face.items()},
+                new_active, n_new - new_active, n_contr))
         id_of_face = new_id_of_face
 
     stream = EventStream(P.n, d, k, metric, seed, ladder.lam, ladder.m, mode, events)
@@ -461,10 +442,6 @@ class Snapshot:
         self.scale_ordinal = scale_ordinal
         self.cells = cells
         self.steps = steps
-
-    @property
-    def live(self) -> Set[int]:
-        return {v for (v,) in self.cells[0]}
 
 
 def _find(parent: Dict[int, int], x: int) -> int:

@@ -289,8 +289,9 @@ def test_criterion_7_reconstruction_and_acyclicity(instance_corpus, capsys):
     for P, stream, audit in instance_corpus:
         walk = snapshots(stream)
         for sc, (spanned, U) in zip(audit.scales, definition_complexes(P, stream), strict=True):
-            # a scale without events leaves the last snapshot current
-            if sc.includes_by_dim or sc.n_contractions:
+            # a scale without events leaves the last snapshot current; each
+            # new face is included
+            if sc.new_active or sc.new_secondary or sc.n_contractions:
                 snap = next(walk)
             scales += 1
             # the build's ids name exactly the definition's faces
@@ -304,7 +305,7 @@ def test_criterion_7_reconstruction_and_acyclicity(instance_corpus, capsys):
                     mismatches += 1
             for f in spanned:
                 sub = build_order_complex(closure([f]), max(f.dim, 1))
-                if any(betti(sub)):
+                if any(betti(sub.all_simplices())):
                     cyclic += 1
                 faces_checked += 1
         # the walk ends with the audit's last scale that has events
@@ -321,7 +322,7 @@ def test_criterion_8_cubical_simplicial_betti(instance_corpus, capsys):
     for P, stream, _ in instance_corpus:
         for _, U in definition_complexes(P, stream):
             bu = betti(U)
-            bx = betti(build_order_complex(U, max(U.dim, 1)))
+            bx = betti(build_order_complex(U, max(U.dim, 1)).all_simplices())
             width = max(len(bu), len(bx))
             bu = bu + [0] * (width - len(bu))
             bx = bx + [0] * (width - len(bx))

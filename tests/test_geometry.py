@@ -10,29 +10,28 @@ from ripsapprox.geometry import (
     PointCloud,
     closest_pair,
     diameter,
-    l2_distance,
-    linf_distance,
+    distance,
     spread,
 )
 
 
 def test_linf_values():
-    assert linf_distance((0, 0), (1, 2)) == 2.0
-    assert linf_distance((0, 0), (0, 0)) == 0.0
-    assert linf_distance((1, -1), (-2, 1)) == 3.0
+    assert distance((0, 0), (1, 2), "linf") == 2.0
+    assert distance((0, 0), (0, 0), "linf") == 0.0
+    assert distance((1, -1), (-2, 1), "linf") == 3.0
 
 
 def test_l2_values():
-    assert l2_distance((0, 0), (3, 4)) == 5.0
-    assert l2_distance((0, 0), (0, 0)) == 0.0
-    assert l2_distance((1, 1), (2, 2)) == pytest.approx(math.sqrt(2))
+    assert distance((0, 0), (3, 4), "l2") == 5.0
+    assert distance((0, 0), (0, 0), "l2") == 0.0
+    assert distance((1, 1), (2, 2), "l2") == pytest.approx(math.sqrt(2))
 
 
 def test_metric_dimension_mismatch():
     with pytest.raises(ValueError):
-        linf_distance((0, 0), (1, 2, 3))
+        distance((0, 0), (1, 2, 3), "linf")
     with pytest.raises(ValueError):
-        l2_distance((0,), (1, 2))
+        distance((0,), (1, 2), "l2")
 
 
 def test_cloud_basic():
@@ -154,13 +153,13 @@ def test_spread_at_least_one():
 def test_pairwise_matches_scalar_metrics():
     rng = np.random.default_rng(7)
     P = PointCloud(rng.uniform(-4, 4, size=(8, 3)))
-    for metric, fn in (("linf", linf_distance), ("l2", l2_distance)):
+    for metric in ("linf", "l2"):
         dm = P.pairwise_distances(metric)
         assert np.allclose(dm, dm.T)
         assert np.all(np.diag(dm) == 0)
         for i in range(P.n):
             for j in range(P.n):
-                assert dm[i, j] == pytest.approx(fn(P[i], P[j]))
+                assert dm[i, j] == pytest.approx(distance(P[i], P[j], metric))
 
 
 def test_pairwise_distance_overflow_rejected():
@@ -174,10 +173,10 @@ def test_pairwise_distance_overflow_rejected():
         assert wide.pairwise_distances("linf")[0, 1] == 1e200
         with pytest.raises(ValueError, match="distance overflow"):
             closest_pair(far)
-        for fn, p, q in ((l2_distance, (1e200, 0.0), (-1e200, 0.0)),
-                         (linf_distance, (1.5e308, 0.0), (-1.5e308, 0.0))):
+        for metric, p, q in (("l2", (1e200, 0.0), (-1e200, 0.0)),
+                             ("linf", (1.5e308, 0.0), (-1.5e308, 0.0))):
             with pytest.raises(ValueError, match="distance overflow"):
-                fn(p, q)
+                distance(p, q, metric)
 
 
 @st.composite
@@ -194,8 +193,8 @@ def point_pair(draw):
 @given(point_pair())
 def test_norm_equivalence(pq):
     p, q = pq
-    lo = linf_distance(p, q)
-    hi = l2_distance(p, q)
+    lo = distance(p, q, "linf")
+    hi = distance(p, q, "l2")
     d = len(p)
     assert lo <= hi * (1 + 1e-12)
     assert hi <= math.sqrt(d) * lo * (1 + 1e-12) + 1e-12
@@ -207,5 +206,5 @@ def test_triangle_inequality(pq, data):
     p, q = pq
     r = data.draw(st.lists(st.floats(-100, 100, allow_nan=False, width=32),
                            min_size=len(p), max_size=len(p)))
-    for fn in (linf_distance, l2_distance):
-        assert fn(p, q) <= fn(p, r) + fn(r, q) + 1e-9
+    for metric in ("linf", "l2"):
+        assert distance(p, q, metric) <= distance(p, r, metric) + distance(r, q, metric) + 1e-9

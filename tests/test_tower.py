@@ -8,7 +8,7 @@ import pytest
 from ripsapprox import cubical, tower
 from ripsapprox.cubical import active_vertices, spanned_faces
 from ripsapprox.geometry import PointCloud, diameter, spread
-from ripsapprox.lattice import Face, GridFrame, ShiftSequence, _FaceCodec, build_frames
+from ripsapprox.lattice import Face, GridFrame, _FaceCodec
 from ripsapprox.tower import (
     Contract,
     EventStream,
@@ -22,7 +22,6 @@ from ripsapprox.tower import (
     build_simplicial_tower,
     chain_count,
     cubical_cell_bound,
-    relevant_scales,
     replay,
     scale_event_bound,
     simplicial_inclusion_bound,
@@ -30,6 +29,7 @@ from ripsapprox.tower import (
     stirling2,
     survival_experiment,
     _chains_ending,
+    _ladder_for,
 )
 from ripsapprox.persistence import coning_oracle, tower_barcode
 
@@ -40,14 +40,14 @@ from conftest import MUTATIONS, definition_complexes, random_cloud
 
 
 def test_ladder_two_points_unit_interval():
-    lad = relevant_scales(PointCloud([0.0, 1.0]))
+    lad = _ladder_for(PointCloud([0.0, 1.0]), None, None)
     assert lad.lam == pytest.approx(1.0 / 3.0)
     assert lad.m == 2
-    assert lad.alphas == pytest.approx([1 / 3, 2 / 3, 4 / 3])
+    assert [lad.alpha(s) for s in range(lad.m + 1)] == pytest.approx([1 / 3, 2 / 3, 4 / 3])
 
 
 def test_ladder_spread_eight():
-    lad = relevant_scales(PointCloud([[0, 0], [1, 0], [8, 0]]))
+    lad = _ladder_for(PointCloud([[0, 0], [1, 0], [8, 0]]), None, None)
     assert lad.lam == pytest.approx(1.0 / 6.0)
     assert lad.m == 6  # 2^m >= 3*2*8
 
@@ -56,7 +56,7 @@ def test_ladder_two_points_general_d():
     for d, want in ((1, 2), (2, 3), (3, 4)):
         pts = np.zeros((2, d))
         pts[1, 0] = 1.0
-        lad = relevant_scales(PointCloud(pts))
+        lad = _ladder_for(PointCloud(pts), None, None)
         assert lad.m == want  # minimal with 2^m >= 3d
 
 
@@ -65,7 +65,7 @@ def test_ladder_covers_diameter():
     for seed in range(10):
         P = random_cloud(seed, 7, 2)
         stream = build_simplicial_tower(P, 0, seed, lam=float(rng.uniform(1e-3, 20.0)))
-        for lad in (relevant_scales(P), ScaleLadder(stream.lam, stream.m)):
+        for lad in (_ladder_for(P, None, None), ScaleLadder(stream.lam, stream.m)):
             assert lad.alpha(lad.m) >= diameter(P, "linf")
             if lad.m > 0:
                 assert lad.alpha(lad.m - 1) < diameter(P, "linf")
@@ -89,11 +89,6 @@ def test_ladder_boundary_rebuild():
                 assert again == s, (d, a, diam)
 
 
-def test_ladder_needs_two_points():
-    with pytest.raises(ValueError):
-        relevant_scales(PointCloud([[1.0, 2.0]]))
-
-
 # --- single-point streams ---
 
 
@@ -106,7 +101,7 @@ def test_single_point_stream():
         assert stream.m == 0 and stream.lam == 1.0
         assert stream.events == [Scale(1.0), Include(0, 0, ())]
         snap = replay(stream)
-        assert len(snap.live) == 1 and snap.cells == [{(0,): 0}, {}]
+        assert snap.cells == [{(0,): 0}, {}]
     # the one cell counts against the guardrail like any other
     with pytest.raises(GuardrailExceeded):
         build_simplicial_tower(P, 1, seed=5, guard_cells=0)
@@ -337,7 +332,6 @@ def test_cubical_cells_reference_corner_ids():
 def test_audit_totals_match_stream():
     P = random_cloud(31, 7, 2)
     stream, audit = build_simplicial_tower(P, 2, seed=6, with_audit=True)
-    assert audit.total_inclusions == stream.counts()["I"]
     assert audit.total_active_inclusions + audit.total_secondary_inclusions == \
         stream.includes_by_dim()[0]
     assert len(audit.scales) == stream.m + 1
@@ -346,7 +340,7 @@ def test_audit_totals_match_stream():
     assert sum(sc.n_contractions for sc in audit.scales) == stream.counts()["C"]
     # a cubical tower includes each new face as one cell
     stream, audit = build_cubical_tower(P, seed=6, with_audit=True)
-    assert audit.total_inclusions == stream.counts()["I"] == \
+    assert stream.counts()["I"] == \
         audit.total_active_inclusions + audit.total_secondary_inclusions
     assert sum(sc.n_contractions for sc in audit.scales) == stream.counts()["C"]
     # its ids name the grid vertices of the definition's complex
@@ -394,8 +388,8 @@ def test_definition_and_build_share_no_code(monkeypatch):
 def test_build_packs_only_the_scale_0_vertices(monkeypatch):
     # faces stay packed keys from scale 0's active vertices to the stream
     P = random_cloud(73, 12, 3)
-    ladder = relevant_scales(P)
-    V0 = active_vertices(build_frames(ladder.lam, ladder.m, 3, ShiftSequence(5, 3))[0], P)
+    ladder = _ladder_for(P, None, None)
+    V0 = active_vertices(GridFrame(0, ladder.lam, (0,) * 3), P)
     calls = Counter()
 
     def counted(name):
@@ -436,21 +430,20 @@ def assert_rejected(body, head=HEAD):
 def test_replay_accepts_minimal_stream():
     snap = parse_replay("S 1\nI 0 0\nI 1 0\nI 2 1 0 1\n")
     assert snap.cells == [{(0,): 0, (1,): 1}, {(0, 1): 0}]
-    assert snap.live == {0, 1}
+    assert set(snap.cells[0]) == {(0,), (1,)}
     assert snap.alpha == 1.0 and snap.scale_ordinal == 0
 
 
 def test_replay_resolves_contractions():
     snap = parse_replay("S 1\nI 0 0\nI 1 0\nI 2 1 0 1\nS 2\nC 0 1\n")
     assert snap.cells == [{(0,): 0}, {}]
-    assert snap.live == {0}
 
 
 def test_snapshots_every_scale():
     stream = EventStream.parse(HEAD + "S 1\nI 0 0\nI 1 0\nS 2\nC 0 1\n")
     first, full = snapshots(stream)
-    assert first.live == {0, 1} and first.scale_ordinal == 0
-    assert full.live == {0} and full.scale_ordinal == 1
+    assert set(first.cells[0]) == {(0,), (1,)} and first.scale_ordinal == 0
+    assert set(full.cells[0]) == {(0,)} and full.scale_ordinal == 1
     assert vars(replay(stream)) == vars(full)
     # no scale: the empty snapshot, shaped like every other of the stream
     empty = replay(EventStream.parse(HEAD))
@@ -556,7 +549,7 @@ def test_mutation_outcomes_are_pinned():
         if snap is None:
             outcomes.append("rejected")
             continue
-        outcome = "%d %d" % (len(snap.live), sum(map(len, snap.cells)))
+        outcome = "%d %d" % (len(snap.cells[0]), sum(map(len, snap.cells)))
         if stream.mode == "simplicial":
             outcome += "\n" + bc.to_text()
             scales = stream.scale_values()
