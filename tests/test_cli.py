@@ -275,6 +275,23 @@ def test_stats_cubical_all_pass(tmp_path, capsys):
     assert "cell inclusions" in report and "result: PASS" in report
 
 
+def test_stats_cubical_rebuild_writes_k_zero(tmp_path, capsys):
+    # a cubical tower has no skeleton cap: its header k is 0, and the
+    # rebuild must not copy a different k from the stream under audit
+    pts, stream = build_stream_file(tmp_path, seed=0, n=12, mode="cubical")
+    text = Path(stream).read_text()
+    head, rest = text.split("\n", 1)
+    fields = head.split()
+    assert fields[3] == "0"
+    fields[3] = "1"
+    edited = tmp_path / "k1.txt"
+    edited.write_text(" ".join(fields) + "\n" + rest)
+    capsys.readouterr()
+    assert main(["stats", str(edited), "--points", pts]) == EXIT_CHECK_FAILED
+    assert "check rebuild reproduces stream: 0 vs 1 FAIL" in capsys.readouterr().out
+    assert main(["stats", stream, "--points", pts]) == EXIT_OK
+
+
 def test_stats_rebuilds_ladder_boundary(tmp_path, capsys):
     # lambda*2^5 equals diam here while cp*2^5 falls below the rounded
     # 3*d*diam: the derived and the --lambda ladder must both stop at m = 5
