@@ -5,6 +5,7 @@ from ripsapprox.geometry import PointCloud, diameter, spread
 from ripsapprox.tower import (
     build_simplicial_tower,
     build_cubical_tower,
+    TowerAudit,
     active_inclusion_bound,
     cubical_cell_bound,
     simplicial_inclusion_bound,
@@ -16,7 +17,8 @@ print("cloud: n=%d d=%d  diam_inf=%.3f  spread=%.1f"
       % (P.n, P.d, diameter(P, "linf"), spread(P, "linf")))
 
 # simplicial mode: vertices are lattice faces, cells are order-complex flags
-stream, audit = build_simplicial_tower(P, 2, seed=0, with_audit=True)
+audit = TowerAudit()
+stream = build_simplicial_tower(P, 2, seed=0, audit=audit)
 print("\nsimplicial stream, k=2")
 print("  scales:", " ".join("%g" % a for a in stream.scale_values()))
 print("  events:", dict(stream.counts()))

@@ -28,6 +28,8 @@ from .tower import (
     EventStream,
     GuardrailExceeded,
     MalformedStream,
+    TowerAudit,
+    _build_tower,
     active_inclusion_bound,
     build_cubical_tower,
     build_simplicial_tower,
@@ -208,14 +210,11 @@ def _stats_checks(stream: EventStream, raw: bytes, points_path: Optional[str],
         comps = graph_betti[0] + 1 if graph_betti else 0
         checks.append(("final scale connected", comps, 1, comps == 1))
 
-    audit = None
     if points_path is not None:
         P = PointCloud.from_file(points_path)
-        kwargs = dict(metric=stream.metric, lam=stream.lam, max_scales=stream.m)
-        if stream.mode == "simplicial":
-            rebuilt, audit = build_simplicial_tower(P, k, stream.seed, with_audit=True, **kwargs)
-        else:
-            rebuilt, audit = build_cubical_tower(P, stream.seed, with_audit=True, **kwargs)
+        audit = TowerAudit()
+        rebuilt = _build_tower(P, k, stream.seed, stream.metric, stream.mode, stream.lam,
+                               stream.m, audit=audit)
         same = rebuilt.to_text().encode() == raw
         checks.append(("rebuild reproduces stream", int(same), 1, same))
         add("active-face inclusions <= n*3^d", audit.total_active_inclusions,

@@ -58,7 +58,6 @@ class ShiftSequence:
         self.seed = int(seed) & _MASK64
         self.d = d
         self._fixed = None
-        self._cache = {}
 
     @classmethod
     def fixed(cls, signs_by_scale: Sequence[Sequence[int]], d: Optional[int] = None) -> "ShiftSequence":
@@ -81,14 +80,9 @@ class ShiftSequence:
             if s >= len(self._fixed):
                 raise ValueError("fixed shift sequence has no signs for scale %d" % s)
             return self._fixed[s]
-        if s not in self._cache:
-            base = _splitmix64(self.seed ^ _splitmix64(s + 1))
-            row = []
-            for i in range(self.d):
-                h = _splitmix64(base ^ (0x9E3779B97F4A7C15 * (i + 1) & _MASK64))
-                row.append(1 if h & 1 else -1)
-            self._cache[s] = tuple(row)
-        return self._cache[s]
+        base = _splitmix64(self.seed ^ _splitmix64(s + 1))
+        return tuple(1 if _splitmix64(base ^ (0x9E3779B97F4A7C15 * (i + 1) & _MASK64)) & 1 else -1
+                     for i in range(self.d))
 
 
 class GridFrame(NamedTuple):

@@ -42,29 +42,27 @@ def _check_bar(birth: float, death: float) -> None:
 
 
 class Barcode:
-    """Per homology dimension, a multiset of [birth, death) intervals."""
+    """Per homology dimension, a multiset of [birth, death) intervals.
+
+    Bars are kept in the order they were added and read sorted by
+    (birth, death), so the order of adding never shows.
+    """
 
     def __init__(self, intervals: Optional[Dict[int, List[Tuple[float, float]]]] = None):
         self._ivals: Dict[int, List[Tuple[float, float]]] = {}
-        if intervals:
-            for p, lst in intervals.items():
-                self._ivals[p] = sorted(lst)
-                for b, d in self._ivals[p]:
-                    _check_bar(b, d)
+        for p, lst in (intervals or {}).items():
+            for b, d in lst:
+                self.add(p, b, d)
 
     def add(self, p: int, birth: float, death: float) -> None:
         _check_bar(birth, death)
         self._ivals.setdefault(p, []).append((birth, death))
 
-    def sort(self) -> None:
-        for p in self._ivals:
-            self._ivals[p].sort()
-
     def dimensions(self) -> List[int]:
         return sorted(p for p in self._ivals if self._ivals[p])
 
     def intervals(self, p: int) -> List[Tuple[float, float]]:
-        return list(self._ivals.get(p, []))
+        return sorted(self._ivals.get(p, []))
 
     def total(self) -> int:
         return sum(len(v) for v in self._ivals.values())
@@ -76,13 +74,12 @@ class Barcode:
         for p, lst in self._ivals.items():
             for b, d in lst:
                 out.add(p, b * factor, d if d == INF else d * factor)
-        out.sort()
         return out
 
     def to_text(self) -> str:
         lines = []
         for p in self.dimensions():
-            for b, d in self._ivals[p]:
+            for b, d in self.intervals(p):
                 lines.append("%d %s %s" % (p, _fmt_g17(b), _fmt_g17(d)))
         return "\n".join(lines) + ("\n" if lines else "")
 
@@ -99,7 +96,6 @@ class Barcode:
                 out.add(int(parts[0]), float(parts[1]), float(parts[2]))
             except ValueError as exc:
                 raise ValueError("line %d: %s" % (lineno, exc)) from None
-        out.sort()
         return out
 
     def __eq__(self, other):
@@ -264,7 +260,6 @@ def rips_barcode(P: PointCloud, metric="linf", k: int = 1,
             grown.append(np.column_stack([simp[below][ok], np.full(ok.sum(), l)]))
             grown_ranks.append(cv[ok])
         simp, ranks = np.concatenate(grown), np.concatenate(grown_ranks)
-    out.sort()
     return out
 
 
@@ -367,7 +362,6 @@ def reduce(filtration, homology_cap: Optional[int] = None) -> Barcode:
         d = INF if dj is None else cells[dj][0]
         if d == INF or d > b:
             out.add(p, b, d)
-    out.sort()
     return out
 
 
@@ -507,7 +501,6 @@ def tower_barcode(stream: EventStream, k: Optional[int] = None) -> Barcode:
     for p, classes in enumerate(live):
         for birth, _ in classes:
             out.add(p, birth, INF)
-    out.sort()
     return out
 
 

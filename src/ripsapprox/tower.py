@@ -140,12 +140,14 @@ class EventStream:
     def parse(cls, text: str) -> "EventStream":
         # numbers are plain ASCII decimals: int and float would also take
         # digit-group underscores and non-ASCII digits
+        lines = text.split("\n")
         if not text.isascii() or "_" in text:
-            for lineno, line in enumerate(text.split("\n"), start=1):
+            for lineno, line in enumerate(lines, start=1):
                 if not line.isascii() or "_" in line:
                     raise MalformedStream("line %d: numbers must be plain ASCII decimals: %s"
                                           % (lineno, ascii(line)))
-        lines = text.splitlines()
+        if not lines[-1]:
+            del lines[-1]  # what follows the newline that ends the last line
         if not lines:
             raise MalformedStream("empty stream")
         head = lines[0].split()
@@ -289,20 +291,24 @@ def _chains_ending(top: int, cap: int, codec: _FaceCodec):
 
 def _build_tower(P: PointCloud, k: int, seed: int, metric: str, mode: str, lam=None,
                  max_scales=None, guard_cells=None,
-                 with_audit=False) -> Tuple[EventStream, Optional[TowerAudit]]:
+                 audit: Optional[TowerAudit] = None) -> EventStream:
+    """The tower's event stream; with `audit`, one ScaleAudit per scale is
+    appended to it. A cubical tower has no skeleton cap: its header k is
+    0 whatever k is given."""
     if P.d > MAX_DIM:
         raise GuardrailExceeded("d = %d exceeds %d" % (P.d, MAX_DIM))
     simplicial = mode == "simplicial"
-    if simplicial and not (0 <= k <= P.d):
+    if not simplicial:
+        k = 0
+    elif not (0 <= k <= P.d):
         raise ValueError("k must be in 0..d")
 
     ladder = _ladder_for(P, lam, max_scales)
     d = P.d
     shifts = ShiftSequence(seed, d)
-    audit = TowerAudit() if with_audit else None
     # flags are strict subface chains of at most flag_len faces; a
-    # cubical tower emits the faces alone
-    flag_len = k + 1 if simplicial else 1
+    # cubical tower (k = 0) emits the faces alone
+    flag_len = k + 1
     events: List = []
     next_id = 0
     total_cells = 0
@@ -403,26 +409,19 @@ def _build_tower(P: PointCloud, k: int, seed: int, metric: str, mode: str, lam=N
                 new_active, n_new - new_active, n_contr))
         id_of_face = new_id_of_face
 
-    stream = EventStream(P.n, d, k, metric, seed, ladder.lam, ladder.m, mode, events)
-    return stream, audit
+    return EventStream(P.n, d, k, metric, seed, ladder.lam, ladder.m, mode, events)
 
 
-def build_simplicial_tower(P: PointCloud, k: int, seed: int, *, metric="linf",
-                           lam=None, max_scales=None, guard_cells=None, with_audit=False):
+def build_simplicial_tower(P: PointCloud, k: int, seed: int, *, metric="linf", lam=None,
+                           max_scales=None, guard_cells=None, audit=None) -> EventStream:
     """Event stream of the flag tower over the face poset, k-skeleton capped."""
-    stream, audit = _build_tower(P, k, seed, metric, "simplicial", lam=lam,
-                                 max_scales=max_scales, guard_cells=guard_cells,
-                                 with_audit=with_audit)
-    return (stream, audit) if with_audit else stream
+    return _build_tower(P, k, seed, metric, "simplicial", lam, max_scales, guard_cells, audit)
 
 
-def build_cubical_tower(P: PointCloud, seed: int, *, metric="linf",
-                        lam=None, max_scales=None, guard_cells=None, with_audit=False):
+def build_cubical_tower(P: PointCloud, seed: int, *, metric="linf", lam=None,
+                        max_scales=None, guard_cells=None, audit=None) -> EventStream:
     """Event stream of the cubical tower (cells, not flags)."""
-    stream, audit = _build_tower(P, 0, seed, metric, "cubical", lam=lam,
-                                 max_scales=max_scales, guard_cells=guard_cells,
-                                 with_audit=with_audit)
-    return (stream, audit) if with_audit else stream
+    return _build_tower(P, 0, seed, metric, "cubical", lam, max_scales, guard_cells, audit)
 
 
 class Snapshot:

@@ -33,6 +33,7 @@ from ripsapprox.persistence import (
 )
 from ripsapprox.tower import (
     Include,
+    TowerAudit,
     active_inclusion_bound,
     build_cubical_tower,
     build_simplicial_tower,
@@ -119,11 +120,12 @@ def stream_corpus():
         n = int(rng.integers(2, 15))
         d = int(rng.integers(1, 5))
         P = random_cloud(1000 + i, n, d)
+        audit = TowerAudit()
         if i % 2 == 0:
             k = int(rng.integers(1, min(d, 3) + 1))
-            stream, audit = build_simplicial_tower(P, k, seed=i, with_audit=True)
+            stream = build_simplicial_tower(P, k, seed=i, audit=audit)
         else:
-            stream, audit = build_cubical_tower(P, seed=i, with_audit=True)
+            stream = build_cubical_tower(P, seed=i, audit=audit)
         out.append((P, stream, audit))
     return out
 
@@ -278,7 +280,8 @@ def instance_corpus():
         d = int(rng.integers(1, 4))
         k = int(rng.integers(1, min(d, 2) + 1))
         P = random_cloud(2000 + i, n, d)
-        stream, audit = build_simplicial_tower(P, k, seed=i, with_audit=True)
+        audit = TowerAudit()
+        stream = build_simplicial_tower(P, k, seed=i, audit=audit)
         out.append((P, stream, audit))
     return out
 

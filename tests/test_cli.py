@@ -1,3 +1,4 @@
+import importlib.util
 import subprocess
 import sys
 import warnings
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from ripsapprox import cli
 from ripsapprox.cli import (
     EXIT_CHECK_FAILED,
     EXIT_GUARDRAIL,
@@ -292,6 +294,28 @@ def test_stats_cubical_rebuild_writes_k_zero(tmp_path, capsys):
     assert main(["stats", stream, "--points", pts]) == EXIT_OK
 
 
+def test_traced_tower_and_stats_points(tmp_path, capsys, monkeypatch):
+    # perfbench's tracer wraps the library's functions and reads their
+    # results: a result whose shape changes breaks it here first
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look it up
+    spec.loader.exec_module(tracing)
+    pts = write_cloud(tmp_path, 0, 12, 2)
+    stream = str(tmp_path / "stream.txt")
+    tracer = tracing.Tracer("test")
+    tracer.install()
+    try:
+        assert cli.main(["tower", pts, "--k", "1", "--out", stream]) == EXIT_OK
+        assert cli.main(["stats", stream, "--points", pts]) == EXIT_OK
+    finally:
+        tracer.uninstall()
+    assert "result: PASS" in capsys.readouterr().out
+    assert [s.name for s in tracer.spans].count("cli.main") == 2
+    assert not tracing.count_mismatch(tracer)
+
+
 def test_stats_rebuilds_ladder_boundary(tmp_path, capsys):
     # lambda*2^5 equals diam here while cp*2^5 falls below the rounded
     # 3*d*diam: the derived and the --lambda ladder must both stop at m = 5
@@ -362,6 +386,9 @@ def test_stats_malformed_exit(tmp_path):
     "H 1 1 1 linf 0 1 1 simplicial\nS 1\nI \u0660 0\n",
     "H 1 1 1 linf 0 1 1 simplicial\nS 1_0\nI 0 0\n",
     "H 1 1 1 linf 0 1_0 1 simplicial\nS 1\nI 0 0\n",
+    # a line ends at \n only: these are one malformed line 2, not two events
+    "H 1 1 0 linf 0 1 0 simplicial\nS 1\x1cI 0 0\n",
+    "H 1 1 0 linf 0 1 0 simplicial\nS 1\rI 0 0\n",
 ])
 def test_malformed_stream_values_exit(tmp_path, capsys, text):
     f = tmp_path / "bad.txt"

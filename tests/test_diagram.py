@@ -26,7 +26,6 @@ def bc(**dims):
         p = int(key[1:])
         for b, d in intervals:
             out.add(p, b, d)
-    out.sort()
     return out
 
 
@@ -120,7 +119,6 @@ def _random_barcode(rng, n):
     for _ in range(n):
         b = float(rng.uniform(0.5, 4.0))
         out.add(0, b, b * float(rng.uniform(1.1, 3.0)))
-    out.sort()
     return out
 
 

@@ -44,9 +44,11 @@ def test_barcode_basic_ops():
     bc.add(1, 0.5, 2.0)
     bc.add(0, 0.0, 1.0)
     bc.add(0, 0.0, 0.25)
-    bc.sort()
     assert bc.dimensions() == [0, 1]
     assert bc.intervals(0) == [(0.0, 0.25), (0.0, 1.0)]
+    assert bc.to_text() == "0 0 0.25\n0 0 1\n1 0.5 2\n"
+    # the order of adding never shows
+    assert bc == Barcode({1: [(0.5, 2.0)], 0: [(0.0, 0.25), (0.0, 1.0)]})
     assert bc.total() == 3
     assert bc.intervals(5) == []
 

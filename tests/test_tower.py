@@ -17,6 +17,7 @@ from ripsapprox.tower import (
     MalformedStream,
     Scale,
     ScaleLadder,
+    TowerAudit,
     active_inclusion_bound,
     build_cubical_tower,
     build_simplicial_tower,
@@ -167,6 +168,21 @@ def test_parse_rejects_bad_input():
         with pytest.raises(MalformedStream):
             EventStream.parse(head + "\n")
     assert EventStream.parse("H 1 32 32 l2 0 1e-300 0 cubical\n").d == 32
+
+
+def test_parse_splits_lines_on_newline_only():
+    head = "H 1 1 0 linf 0 1 0 simplicial\n"
+    # other line breaks that str.splitlines knows do not end an event
+    for sep in ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"):
+        with pytest.raises(MalformedStream, match="^line 2: "):
+            EventStream.parse(head + "S 1" + sep + "I 0 0\n")
+    # within a line they are whitespace, as a space is; so a CRLF stream parses
+    want = EventStream.parse(head + "S 1\nI 0 0\n")
+    assert want.events == [Scale(1.0), Include(0, 0, ())]
+    assert EventStream.parse(head + "S 1\n\x0cI 0 0\n") == want
+    assert EventStream.parse((head + "S 1\nI 0 0\n").replace("\n", "\r\n")) == want
+    with pytest.raises(MalformedStream, match="^line 3: empty"):
+        EventStream.parse(head + "S 1\n\nI 0 0\n")
 
 
 def test_counts_and_scale_values():
@@ -329,9 +345,23 @@ def test_cubical_cells_reference_corner_ids():
     replay(stream)  # well-formed end to end
 
 
+def test_builders_return_the_stream_with_or_without_audit():
+    P = random_cloud(32, 9, 2)
+    for build in (lambda **kw: build_simplicial_tower(P, 2, seed=4, **kw),
+                  lambda **kw: build_cubical_tower(P, seed=4, **kw)):
+        plain = build()
+        audit = TowerAudit()
+        audited = build(audit=audit)
+        assert type(plain) is EventStream and type(audited) is EventStream
+        assert audited == plain
+        assert len(audit.scales) == audited.m + 1
+        assert [sc.s for sc in audit.scales] == list(range(audited.m + 1))
+
+
 def test_audit_totals_match_stream():
     P = random_cloud(31, 7, 2)
-    stream, audit = build_simplicial_tower(P, 2, seed=6, with_audit=True)
+    audit = TowerAudit()
+    stream = build_simplicial_tower(P, 2, seed=6, audit=audit)
     assert audit.total_active_inclusions + audit.total_secondary_inclusions == \
         stream.includes_by_dim()[0]
     assert len(audit.scales) == stream.m + 1
@@ -339,7 +369,8 @@ def test_audit_totals_match_stream():
         assert sc.alpha == stream.lam * (1 << sc.s)
     assert sum(sc.n_contractions for sc in audit.scales) == stream.counts()["C"]
     # a cubical tower includes each new face as one cell
-    stream, audit = build_cubical_tower(P, seed=6, with_audit=True)
+    audit = TowerAudit()
+    stream = build_cubical_tower(P, seed=6, audit=audit)
     assert stream.counts()["I"] == \
         audit.total_active_inclusions + audit.total_secondary_inclusions
     assert sum(sc.n_contractions for sc in audit.scales) == stream.counts()["C"]
@@ -623,7 +654,8 @@ def test_bound_helpers():
 def test_stream_within_size_bounds():
     for seed in range(8):
         P = random_cloud(700 + seed, 8, 3)
-        stream, audit = build_simplicial_tower(P, 1, seed=seed, with_audit=True)
+        audit = TowerAudit()
+        stream = build_simplicial_tower(P, 1, seed=seed, audit=audit)
         assert audit.total_active_inclusions <= active_inclusion_bound(P.n, P.d)
         assert stream.includes_by_dim()[0] <= cubical_cell_bound(P.n, P.d)
         sb = simplicial_inclusion_bound(P.n, P.d, 1)
