@@ -5,7 +5,6 @@ from ripsapprox.geometry import PointCloud, diameter, spread
 from ripsapprox.tower import (
     build_simplicial_tower,
     build_cubical_tower,
-    TowerAudit,
     active_inclusion_bound,
     cubical_cell_bound,
     simplicial_inclusion_bound,
@@ -17,14 +16,14 @@ print("cloud: n=%d d=%d  diam_inf=%.3f  spread=%.1f"
       % (P.n, P.d, diameter(P, "linf"), spread(P, "linf")))
 
 # simplicial mode: vertices are lattice faces, cells are order-complex flags
-audit = TowerAudit()
+audit = []
 stream = build_simplicial_tower(P, 2, seed=0, audit=audit)
 print("\nsimplicial stream, k=2")
 print("  scales:", " ".join("%g" % a for a in stream.scale_values()))
 print("  events:", dict(stream.counts()))
 print("  includes by dim:", dict(stream.includes_by_dim()))
 print("  active 0-cell inclusions %d <= n*3^d = %d"
-      % (audit.total_active_inclusions, active_inclusion_bound(P.n, P.d)))
+      % (sum(sc.new_active for sc in audit), active_inclusion_bound(P.n, P.d)))
 sb = simplicial_inclusion_bound(P.n, P.d, stream.k)
 if sb is not None:
     print("  total inclusions %d <= %d" % (stream.counts()["I"], sb))

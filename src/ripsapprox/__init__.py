@@ -11,7 +11,7 @@ from .lattice import Face, GridFrame, ShiftSequence, build_frames, locate, verte
 from .cubical import CubicalComplex, active_vertices, is_spanned, spanned_faces, closure, cubical_boundary
 from .barycentric import FlagSimplex, SimplicialComplex, build_order_complex, simplicial_image
 from .tower import (
-    Scale, Include, Contract, EventStream, ScaleLadder, Snapshot,
+    Scale, Include, Contract, EventStream, Snapshot,
     GuardrailExceeded, MalformedStream,
     build_simplicial_tower, build_cubical_tower, replay, snapshots, survival_experiment,
     active_inclusion_bound, cubical_cell_bound, simplicial_inclusion_bound,

@@ -121,9 +121,8 @@ def simplicial_image(frames, s: int, sigma) -> FlagSimplex:
     a containment degenerates the duplicate is dropped, so the dimension
     can only shrink.
     """
-    faces = sigma.faces if isinstance(sigma, FlagSimplex) else tuple(sigma)
     out: List[Face] = []
-    for f in faces:
+    for f in sigma:
         g = face_map_g(frames, s, f)
         if not out or out[-1] != g:
             out.append(g)

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 from .diagram import certify_approximation
 from .geometry import METRICS, PointCloud
 from .lattice import MAX_DIM
-from .persistence import Barcode, _rips_size, betti, rips_barcode, tower_barcode
+from .persistence import Barcode, _rips_size, _tower_k, betti, rips_barcode, tower_barcode
 # no command calls it any more; perfbench/test_perfbench.py checks that
 # the tracer wraps it under this name
 from .persistence import reduce as reduce_filtration  # noqa: F401
@@ -28,7 +28,6 @@ from .tower import (
     EventStream,
     GuardrailExceeded,
     MalformedStream,
-    TowerAudit,
     _build_tower,
     active_inclusion_bound,
     build_cubical_tower,
@@ -144,7 +143,7 @@ def cmd_rips_barcode(args) -> int:
 
 def cmd_tower_barcode(args) -> int:
     stream, _ = _load_stream(args.stream)
-    k = stream.k if args.k is None else min(args.k, stream.k)
+    k = _tower_k(stream, args.k, "tower persistence")
     bc = tower_barcode(stream, k)
     info = _emit(bc.to_text(), args.out)
     info.write("tower-barcode: n=%d d=%d k=%d mode=%s scales=%d\n"
@@ -212,12 +211,12 @@ def _stats_checks(stream: EventStream, raw: bytes, points_path: Optional[str],
 
     if points_path is not None:
         P = PointCloud.from_file(points_path)
-        audit = TowerAudit()
+        audit = []
         rebuilt = _build_tower(P, k, stream.seed, stream.metric, stream.mode, stream.lam,
                                stream.m, audit=audit)
         same = rebuilt.to_text().encode() == raw
         checks.append(("rebuild reproduces stream", int(same), 1, same))
-        add("active-face inclusions <= n*3^d", audit.total_active_inclusions,
+        add("active-face inclusions <= n*3^d", sum(sc.new_active for sc in audit),
             active_inclusion_bound(n, d))
     return checks, snap
 

@@ -2,7 +2,8 @@
 
 Point-cloud files are UTF-8 text, one point per line, coordinates
 separated by whitespace or commas; blank lines and '#' comments are
-ignored. All lines must agree on the dimension.
+ignored. Outside comments, a line holds printable ASCII and tabs, and
+no '_'. All lines must agree on the dimension.
 """
 
 from __future__ import annotations
@@ -89,10 +90,16 @@ class PointCloud:
         d = None
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
-                stripped = line.strip()
-                if not stripped or stripped.startswith("#"):
+                line = line.rstrip("\n")  # text mode ends lines at "\n", "\r\n" or a lone "\r"
+                if line.lstrip().startswith("#"):
                     continue
-                parts = stripped.replace(",", " ").split()
+                # float() reads "_" and non-ASCII digits; split() breaks at control characters
+                if "_" in line or not (line.isascii() and line.replace("\t", " ").isprintable()):
+                    raise ValueError("%s:%d: coordinates must be plain ASCII decimals: %s"
+                                     % (path, lineno, ascii(line)))
+                parts = line.replace(",", " ").split()
+                if not parts:
+                    continue
                 try:
                     row = [float(tok) for tok in parts]
                 except ValueError:

@@ -21,7 +21,7 @@ import numpy as np
 from .cubical import CubicalComplex, cubical_boundary
 from .geometry import PointCloud
 from .tower import (EventStream, GuardrailExceeded, Include, MalformedStream, Scale, Snapshot,
-                    _find, _fmt_g17, replay, snapshots)
+                    _find, _fmt_g17, _text_lines, replay, snapshots)
 
 __all__ = [
     "Barcode",
@@ -34,11 +34,6 @@ __all__ = [
 ]
 
 INF = math.inf
-
-
-def _check_bar(birth: float, death: float) -> None:
-    if not 0.0 <= birth <= death:
-        raise ValueError("bar needs 0 <= birth <= death: %r" % ((birth, death),))
 
 
 class Barcode:
@@ -55,7 +50,8 @@ class Barcode:
                 self.add(p, b, d)
 
     def add(self, p: int, birth: float, death: float) -> None:
-        _check_bar(birth, death)
+        if not (p >= 0 and 0.0 <= birth <= death):
+            raise ValueError("bar needs p >= 0 and 0 <= birth <= death: %r" % ((p, birth, death),))
         self._ivals.setdefault(p, []).append((birth, death))
 
     def dimensions(self) -> List[int]:
@@ -86,7 +82,7 @@ class Barcode:
     @classmethod
     def parse(cls, text: str) -> "Barcode":
         out = cls()
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        for lineno, line in enumerate(_text_lines(text), start=1):
             if not line.strip():
                 continue
             parts = line.split()
@@ -461,6 +457,18 @@ def _push_vector(vec: int, step: List[Optional[int]]) -> int:
     return out
 
 
+def _tower_k(stream: EventStream, k: Optional[int], reader: str) -> int:
+    """k for a tower reader, by default and at most the stream's k; a cubical
+    stream raises MalformedStream and a negative k ValueError."""
+    if stream.mode != "simplicial":
+        raise MalformedStream("%s needs a simplicial stream" % reader)
+    if k is None:
+        k = stream.k
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    return min(k, stream.k)
+
+
 def tower_barcode(stream: EventStream, k: Optional[int] = None) -> Barcode:
     """Barcode of a simplicial tower stream by the elder rule.
 
@@ -474,13 +482,7 @@ def tower_barcode(stream: EventStream, k: Optional[int] = None) -> Barcode:
     as `replay` does: a cubical or malformed stream raises
     MalformedStream.
     """
-    if stream.mode != "simplicial":
-        raise MalformedStream("tower persistence needs a simplicial stream")
-    if k is None:
-        k = stream.k
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    k = min(k, stream.k)
+    k = _tower_k(stream, k, "tower persistence")
     out = Barcode()
     # live[p]: (birth, cycle) of every p-class alive at the last
     # snapshot, oldest first
@@ -514,13 +516,7 @@ def coning_oracle(stream: EventStream, k: Optional[int] = None,
     A malformed stream raises MalformedStream: `replay` validates it
     with `snapshots`, the walk `tower_barcode` reads.
     """
-    if stream.mode != "simplicial":
-        raise MalformedStream("coning oracle needs a simplicial stream")
-    if k is None:
-        k = stream.k
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    k = min(k, stream.k)
+    k = _tower_k(stream, k, "coning oracle")
     replay(stream)  # validation only: the coning below reads the events
     filt: List[Tuple[float, Tuple[int, ...]]] = []
     added: Set[Tuple[int, ...]] = set()

@@ -21,7 +21,7 @@ import io
 import math
 from collections import Counter
 from itertools import chain, filterfalse, islice
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from .cubical import _close, _spanned, active_vertices
@@ -44,10 +44,8 @@ __all__ = [
     "Include",
     "Contract",
     "EventStream",
-    "ScaleLadder",
     "GuardrailExceeded",
     "MalformedStream",
-    "TowerAudit",
     "ScaleAudit",
     "Snapshot",
     "build_simplicial_tower",
@@ -89,6 +87,21 @@ class MalformedStream(ValueError):
 
 def _fmt_g17(x: float) -> str:
     return "%.17g" % (x,)  # inf and nan print as "inf" and "nan"
+
+
+def _text_lines(text: str, error=ValueError) -> List[str]:
+    """The lines of a stream or barcode text, each ended by "\n" alone. A line
+    with a non-ASCII character or a "_", which int and float would read as
+    a digit or a digit-group separator, raises `error` naming it."""
+    lines = text.split("\n")
+    if not text.isascii() or "_" in text:
+        for lineno, line in enumerate(lines, start=1):
+            if not line.isascii() or "_" in line:
+                raise error("line %d: numbers must be plain ASCII decimals: %s"
+                            % (lineno, ascii(line)))
+    if not lines[-1]:
+        del lines[-1]  # what follows the newline that ends the last line
+    return lines
 
 
 class EventStream:
@@ -138,16 +151,7 @@ class EventStream:
 
     @classmethod
     def parse(cls, text: str) -> "EventStream":
-        # numbers are plain ASCII decimals: int and float would also take
-        # digit-group underscores and non-ASCII digits
-        lines = text.split("\n")
-        if not text.isascii() or "_" in text:
-            for lineno, line in enumerate(lines, start=1):
-                if not line.isascii() or "_" in line:
-                    raise MalformedStream("line %d: numbers must be plain ASCII decimals: %s"
-                                          % (lineno, ascii(line)))
-        if not lines[-1]:
-            del lines[-1]  # what follows the newline that ends the last line
+        lines = _text_lines(text, MalformedStream)
         if not lines:
             raise MalformedStream("empty stream")
         head = lines[0].split()
@@ -193,20 +197,10 @@ class EventStream:
                 and self.events == other.events)
 
 
-@dataclass(frozen=True)
-class ScaleLadder:
-    """lambda = alpha_0 and the number of doubling steps m."""
-
-    lam: float
-    m: int
-
-    def alpha(self, s: int) -> float:
-        return math.ldexp(self.lam, s)
-
-
-def _ladder_for(P: PointCloud, lam, max_scales) -> ScaleLadder:
-    """The ladder from lam (default closest-pair(Linf)/(3d); 1.0 for one
-    point): m least >= 0 with lam*2^m >= diam, then capped at max_scales.
+def _ladder_for(P: PointCloud, lam, max_scales) -> Tuple[float, int]:
+    """The ladder alpha_s = lam*2^s, s = 0..m, as the pair (lam, m): lam
+    defaults to closest-pair(Linf)/(3d), 1.0 for one point, and m is the
+    least m >= 0 with lam*2^m >= diam, then capped at max_scales.
 
     lam is doubled in floating point, which is exact, so a stored lam
     re-derives the same m. Raises ValueError when lam is not finite and
@@ -234,7 +228,7 @@ def _ladder_for(P: PointCloud, lam, max_scales) -> ScaleLadder:
         if max_scales < 0:
             raise ValueError("max_scales must be >= 0")
         m = min(m, max_scales)
-    return ScaleLadder(lam, m)
+    return lam, m
 
 
 @dataclass
@@ -247,19 +241,6 @@ class ScaleAudit:
     new_active: int
     new_secondary: int
     n_contractions: int
-
-
-@dataclass
-class TowerAudit:
-    scales: List[ScaleAudit] = field(default_factory=list)
-
-    @property
-    def total_active_inclusions(self) -> int:
-        return sum(sc.new_active for sc in self.scales)
-
-    @property
-    def total_secondary_inclusions(self) -> int:
-        return sum(sc.new_secondary for sc in self.scales)
 
 
 def chain_count(max_len: int, dim: int) -> int:
@@ -291,7 +272,7 @@ def _chains_ending(top: int, cap: int, codec: _FaceCodec):
 
 def _build_tower(P: PointCloud, k: int, seed: int, metric: str, mode: str, lam=None,
                  max_scales=None, guard_cells=None,
-                 audit: Optional[TowerAudit] = None) -> EventStream:
+                 audit: Optional[List[ScaleAudit]] = None) -> EventStream:
     """The tower's event stream; with `audit`, one ScaleAudit per scale is
     appended to it. A cubical tower has no skeleton cap: its header k is
     0 whatever k is given."""
@@ -303,7 +284,7 @@ def _build_tower(P: PointCloud, k: int, seed: int, metric: str, mode: str, lam=N
     elif not (0 <= k <= P.d):
         raise ValueError("k must be in 0..d")
 
-    ladder = _ladder_for(P, lam, max_scales)
+    lam, m = _ladder_for(P, lam, max_scales)
     d = P.d
     shifts = ShiftSequence(seed, d)
     # flags are strict subface chains of at most flag_len faces; a
@@ -312,7 +293,7 @@ def _build_tower(P: PointCloud, k: int, seed: int, metric: str, mode: str, lam=N
     events: List = []
     next_id = 0
     total_cells = 0
-    V = active_vertices(GridFrame(0, ladder.lam, (0,) * d), P)
+    V = active_vertices(GridFrame(0, lam, (0,) * d), P)
     # faces are packed keys from here on (`Face` only in the audit). No
     # anchor outgrows the scale-0 vertices: a complex lies in the
     # bounding box of its active vertices, and g maps an anchor a to
@@ -326,7 +307,8 @@ def _build_tower(P: PointCloud, k: int, seed: int, metric: str, mode: str, lam=N
     id_of_face: Dict[int, int] = {}
     faces: List[int] = []
 
-    for s in range(ladder.m + 1):
+    for s in range(m + 1):
+        alpha = math.ldexp(lam, s)
         # the grid map g on the faces of the previous complex (none at
         # scale 0), one image per face: `groups` maps an image to the ids
         # of the faces that map onto it, `images` holds every image
@@ -400,16 +382,16 @@ def _build_tower(P: PointCloud, k: int, seed: int, metric: str, mode: str, lam=N
                     next_id += 1
 
         if group:
-            events.append(Scale(ladder.alpha(s)))
+            events.append(Scale(alpha))
             events.extend(group)
         if audit is not None:
             new_active = sum(f in spanned for new in new_by_dim for f in new)
-            audit.scales.append(ScaleAudit(
-                s, ladder.alpha(s), {codec.unpack(f, s): i for f, i in new_id_of_face.items()},
+            audit.append(ScaleAudit(
+                s, alpha, {codec.unpack(f, s): i for f, i in new_id_of_face.items()},
                 new_active, n_new - new_active, n_contr))
         id_of_face = new_id_of_face
 
-    return EventStream(P.n, d, k, metric, seed, ladder.lam, ladder.m, mode, events)
+    return EventStream(P.n, d, k, metric, seed, lam, m, mode, events)
 
 
 def build_simplicial_tower(P: PointCloud, k: int, seed: int, *, metric="linf", lam=None,

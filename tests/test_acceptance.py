@@ -33,7 +33,6 @@ from ripsapprox.persistence import (
 )
 from ripsapprox.tower import (
     Include,
-    TowerAudit,
     active_inclusion_bound,
     build_cubical_tower,
     build_simplicial_tower,
@@ -120,7 +119,7 @@ def stream_corpus():
         n = int(rng.integers(2, 15))
         d = int(rng.integers(1, 5))
         P = random_cloud(1000 + i, n, d)
-        audit = TowerAudit()
+        audit = []
         if i % 2 == 0:
             k = int(rng.integers(1, min(d, 3) + 1))
             stream = build_simplicial_tower(P, k, seed=i, audit=audit)
@@ -134,7 +133,7 @@ def test_criterion_3_size_bounds(stream_corpus, capsys):
     violations = 0
     for P, stream, audit in stream_corpus:
         n, d, k = stream.n, stream.d, stream.k
-        if audit.total_active_inclusions > active_inclusion_bound(n, d):
+        if sum(sc.new_active for sc in audit) > active_inclusion_bound(n, d):
             violations += 1
         cells = stream.includes_by_dim().get(0, 0) if stream.mode == "simplicial" \
             else stream.counts()["I"]
@@ -280,7 +279,7 @@ def instance_corpus():
         d = int(rng.integers(1, 4))
         k = int(rng.integers(1, min(d, 2) + 1))
         P = random_cloud(2000 + i, n, d)
-        audit = TowerAudit()
+        audit = []
         stream = build_simplicial_tower(P, k, seed=i, audit=audit)
         out.append((P, stream, audit))
     return out
@@ -291,7 +290,7 @@ def test_criterion_7_reconstruction_and_acyclicity(instance_corpus, capsys):
     scales = faces_checked = 0
     for P, stream, audit in instance_corpus:
         walk = snapshots(stream)
-        for sc, (spanned, U) in zip(audit.scales, definition_complexes(P, stream), strict=True):
+        for sc, (spanned, U) in zip(audit, definition_complexes(P, stream), strict=True):
             # a scale without events leaves the last snapshot current; each
             # new face is included
             if sc.new_active or sc.new_secondary or sc.n_contractions:

@@ -294,14 +294,20 @@ def test_stats_cubical_rebuild_writes_k_zero(tmp_path, capsys):
     assert main(["stats", stream, "--points", pts]) == EXIT_OK
 
 
-def test_traced_tower_and_stats_points(tmp_path, capsys, monkeypatch):
-    # perfbench's tracer wraps the library's functions and reads their
-    # results: a result whose shape changes breaks it here first
+def load_tracing(monkeypatch):
+    """perfbench's tracing module, loaded by path; the tracer wraps the
+    library's functions and reads their results, so a result whose shape
+    changes breaks the traced tests here first."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look it up
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_tower_and_stats_points(tmp_path, capsys, monkeypatch):
+    tracing = load_tracing(monkeypatch)
     pts = write_cloud(tmp_path, 0, 12, 2)
     stream = str(tmp_path / "stream.txt")
     tracer = tracing.Tracer("test")
@@ -313,6 +319,24 @@ def test_traced_tower_and_stats_points(tmp_path, capsys, monkeypatch):
         tracer.uninstall()
     assert "result: PASS" in capsys.readouterr().out
     assert [s.name for s in tracer.spans].count("cli.main") == 2
+    assert not tracing.count_mismatch(tracer)
+
+
+def test_traced_tower_barcode_and_compare(tmp_path, capsys, monkeypatch):
+    tracing = load_tracing(monkeypatch)
+    pts = write_cloud(tmp_path, 0, 12, 2)
+    stream = str(tmp_path / "stream.txt")
+    assert main(["tower", pts, "--k", "1", "--out", stream]) == EXIT_OK
+    tracer = tracing.Tracer("test")
+    tracer.install()
+    try:
+        assert cli.main(["tower-barcode", stream]) == EXIT_OK
+        assert cli.main(["compare", pts, "--k", "1"]) == EXIT_OK
+    finally:
+        tracer.uninstall()
+    assert "result: PASS" in capsys.readouterr().out
+    spans = [s for s in tracer.spans if s.name == "persistence.tower_barcode"]
+    assert len(spans) == 2 and all("bars" in s.attrs for s in spans)
     assert not tracing.count_mismatch(tracer)
 
 

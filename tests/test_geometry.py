@@ -82,6 +82,16 @@ def test_from_file_errors(tmp_path):
     f.write_text("# only comments\n\n")
     with pytest.raises(ValueError):
         PointCloud.from_file(f)
+    # coordinates are plain ASCII decimals: no digit-group "_", no
+    # non-ASCII digit or space, no control character but tab
+    for bad in ("1_0 2\n", "3 \u0664\n", "1 2\x1c3 4\n", "1\x0b2\n", "1\u20002\n"):
+        f.write_bytes(("0 0\n" + bad).encode())
+        with pytest.raises(ValueError, match=r"bad\.txt:2: "):
+            PointCloud.from_file(f)
+    # a comment may hold any UTF-8, a tab separates, and a lone "\r" ends
+    # a line as text mode reads it
+    f.write_bytes("# caf\u00e9 \x01\n1\t2\r3 4\r\n".encode())
+    assert PointCloud.from_file(f).points.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
 def test_closest_pair_values():

@@ -80,6 +80,14 @@ def test_barcode_parse_errors():
         Barcode.parse("0 1\n")
     with pytest.raises(ValueError, match="line 2: "):
         Barcode.parse("0 0 1\nzero 1 2\n")
+    # a line ends at "\n" only, its numbers are plain ASCII decimals, and
+    # a bar's dimension is at least 0
+    for bad in ("0 0 1\x1c0 0 2\n", "0 1_0 2_0\n", "0 \u0661 2\n", "-1 1 2\n"):
+        with pytest.raises(ValueError, match="line 2: "):
+            Barcode.parse("0 0 1\n" + bad)
+    with pytest.raises(ValueError):
+        Barcode().add(-1, 0.0, 1.0)
+    assert Barcode.parse("0 0 1\r\n\n1 2 inf").to_text() == "0 0 1\n1 2 inf\n"
 
 
 def test_barcode_rejects_invalid_bars():

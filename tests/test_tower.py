@@ -16,8 +16,6 @@ from ripsapprox.tower import (
     Include,
     MalformedStream,
     Scale,
-    ScaleLadder,
-    TowerAudit,
     active_inclusion_bound,
     build_cubical_tower,
     build_simplicial_tower,
@@ -41,24 +39,24 @@ from conftest import MUTATIONS, definition_complexes, random_cloud
 
 
 def test_ladder_two_points_unit_interval():
-    lad = _ladder_for(PointCloud([0.0, 1.0]), None, None)
-    assert lad.lam == pytest.approx(1.0 / 3.0)
-    assert lad.m == 2
-    assert [lad.alpha(s) for s in range(lad.m + 1)] == pytest.approx([1 / 3, 2 / 3, 4 / 3])
+    lam, m = _ladder_for(PointCloud([0.0, 1.0]), None, None)
+    assert lam == pytest.approx(1.0 / 3.0)
+    assert m == 2
+    assert [math.ldexp(lam, s) for s in range(m + 1)] == pytest.approx([1 / 3, 2 / 3, 4 / 3])
 
 
 def test_ladder_spread_eight():
-    lad = _ladder_for(PointCloud([[0, 0], [1, 0], [8, 0]]), None, None)
-    assert lad.lam == pytest.approx(1.0 / 6.0)
-    assert lad.m == 6  # 2^m >= 3*2*8
+    lam, m = _ladder_for(PointCloud([[0, 0], [1, 0], [8, 0]]), None, None)
+    assert lam == pytest.approx(1.0 / 6.0)
+    assert m == 6  # 2^m >= 3*2*8
 
 
 def test_ladder_two_points_general_d():
     for d, want in ((1, 2), (2, 3), (3, 4)):
         pts = np.zeros((2, d))
         pts[1, 0] = 1.0
-        lad = _ladder_for(PointCloud(pts), None, None)
-        assert lad.m == want  # minimal with 2^m >= 3d
+        _, m = _ladder_for(PointCloud(pts), None, None)
+        assert m == want  # minimal with 2^m >= 3d
 
 
 def test_ladder_covers_diameter():
@@ -66,10 +64,10 @@ def test_ladder_covers_diameter():
     for seed in range(10):
         P = random_cloud(seed, 7, 2)
         stream = build_simplicial_tower(P, 0, seed, lam=float(rng.uniform(1e-3, 20.0)))
-        for lad in (_ladder_for(P, None, None), ScaleLadder(stream.lam, stream.m)):
-            assert lad.alpha(lad.m) >= diameter(P, "linf")
-            if lad.m > 0:
-                assert lad.alpha(lad.m - 1) < diameter(P, "linf")
+        for lam, m in (_ladder_for(P, None, None), (stream.lam, stream.m)):
+            assert math.ldexp(lam, m) >= diameter(P, "linf")
+            if m > 0:
+                assert math.ldexp(lam, m - 1) < diameter(P, "linf")
 
 
 def test_ladder_boundary_rebuild():
@@ -350,32 +348,32 @@ def test_builders_return_the_stream_with_or_without_audit():
     for build in (lambda **kw: build_simplicial_tower(P, 2, seed=4, **kw),
                   lambda **kw: build_cubical_tower(P, seed=4, **kw)):
         plain = build()
-        audit = TowerAudit()
+        audit = []
         audited = build(audit=audit)
         assert type(plain) is EventStream and type(audited) is EventStream
         assert audited == plain
-        assert len(audit.scales) == audited.m + 1
-        assert [sc.s for sc in audit.scales] == list(range(audited.m + 1))
+        assert len(audit) == audited.m + 1
+        assert [sc.s for sc in audit] == list(range(audited.m + 1))
 
 
 def test_audit_totals_match_stream():
     P = random_cloud(31, 7, 2)
-    audit = TowerAudit()
+    audit = []
     stream = build_simplicial_tower(P, 2, seed=6, audit=audit)
-    assert audit.total_active_inclusions + audit.total_secondary_inclusions == \
+    assert sum(sc.new_active for sc in audit) + sum(sc.new_secondary for sc in audit) == \
         stream.includes_by_dim()[0]
-    assert len(audit.scales) == stream.m + 1
-    for sc in audit.scales:
+    assert len(audit) == stream.m + 1
+    for sc in audit:
         assert sc.alpha == stream.lam * (1 << sc.s)
-    assert sum(sc.n_contractions for sc in audit.scales) == stream.counts()["C"]
+    assert sum(sc.n_contractions for sc in audit) == stream.counts()["C"]
     # a cubical tower includes each new face as one cell
-    audit = TowerAudit()
+    audit = []
     stream = build_cubical_tower(P, seed=6, audit=audit)
     assert stream.counts()["I"] == \
-        audit.total_active_inclusions + audit.total_secondary_inclusions
-    assert sum(sc.n_contractions for sc in audit.scales) == stream.counts()["C"]
+        sum(sc.new_active for sc in audit) + sum(sc.new_secondary for sc in audit)
+    assert sum(sc.n_contractions for sc in audit) == stream.counts()["C"]
     # its ids name the grid vertices of the definition's complex
-    for sc, (_, U) in zip(audit.scales, definition_complexes(P, stream), strict=True):
+    for sc, (_, U) in zip(audit, definition_complexes(P, stream), strict=True):
         assert sc.id_of_face.keys() == set(U.faces_of_dim(0))
 
 
@@ -419,8 +417,8 @@ def test_definition_and_build_share_no_code(monkeypatch):
 def test_build_packs_only_the_scale_0_vertices(monkeypatch):
     # faces stay packed keys from scale 0's active vertices to the stream
     P = random_cloud(73, 12, 3)
-    ladder = _ladder_for(P, None, None)
-    V0 = active_vertices(GridFrame(0, ladder.lam, (0,) * 3), P)
+    lam, m = _ladder_for(P, None, None)
+    V0 = active_vertices(GridFrame(0, lam, (0,) * 3), P)
     calls = Counter()
 
     def counted(name):
@@ -435,7 +433,7 @@ def test_build_packs_only_the_scale_0_vertices(monkeypatch):
         monkeypatch.setattr(_FaceCodec, name, counted(name))
     for build in (lambda: build_simplicial_tower(P, 2, seed=5), lambda: build_cubical_tower(P, seed=5)):
         calls.clear()
-        assert build().m == ladder.m >= 2
+        assert build().m == m >= 2
         assert calls == {"pack": len(V0)}
 
 
@@ -654,9 +652,9 @@ def test_bound_helpers():
 def test_stream_within_size_bounds():
     for seed in range(8):
         P = random_cloud(700 + seed, 8, 3)
-        audit = TowerAudit()
+        audit = []
         stream = build_simplicial_tower(P, 1, seed=seed, audit=audit)
-        assert audit.total_active_inclusions <= active_inclusion_bound(P.n, P.d)
+        assert sum(sc.new_active for sc in audit) <= active_inclusion_bound(P.n, P.d)
         assert stream.includes_by_dim()[0] <= cubical_cell_bound(P.n, P.d)
         sb = simplicial_inclusion_bound(P.n, P.d, 1)
         assert stream.counts()["I"] <= sb
