@@ -378,6 +378,30 @@ def _simplicial_columns(cells: List[Dict[Tuple[int, ...], int]], top: int) -> Li
     return columns
 
 
+def _cubical_columns(cells: List[Dict[Tuple[int, ...], int]], top: int) -> List[List[int]]:
+    """Boundary bitmasks of the cubical q-cells for q <= top, in bit order.
+
+    `cells[q]` maps each q-cell, its sorted corner ids, to its bit. The
+    facets of a q-cell are the (q-1)-cells whose corners are among its
+    own, found through an index by smallest corner; a q-cell without
+    exactly 2q of them raises MalformedStream.
+    """
+    columns = [[1] * len(cells[0])]  # the augmentation row
+    for q, (below, here) in enumerate(zip(cells, cells[1:top + 1]), 1):
+        by_first: Dict[int, List[Tuple[Tuple[int, ...], int]]] = {}
+        for f, bit in below.items():
+            by_first.setdefault(f[0], []).append((f, bit))
+        cols = []
+        for c in here:
+            corners = set(c)
+            bits = [bit for v in c for f, bit in by_first.get(v, ()) if corners.issuperset(f)]
+            if len(bits) != 2 * q:
+                raise MalformedStream("cubical cell %r has %d facets, not %d" % (c, len(bits), 2 * q))
+            cols.append(sum(1 << bit for bit in bits))
+        columns.append(cols)
+    return columns
+
+
 def _cycles_and_boundaries(columns: List[List[int]], top: int):
     """Cycle bases and boundary pivots of a fixed complex, for q <= top.
 
@@ -457,20 +481,25 @@ def _push_vector(vec: int, step: List[Optional[int]]) -> int:
     return out
 
 
-def _tower_k(stream: EventStream, k: Optional[int], reader: str) -> int:
-    """k for a tower reader, by default and at most the stream's k; a cubical
-    stream raises MalformedStream and a negative k ValueError."""
-    if stream.mode != "simplicial":
+def _tower_k(stream: EventStream, k: Optional[int], reader: Optional[str]) -> int:
+    """k for a tower reader: by default and at most the stream's k for a
+    simplicial stream, its d for a cubical one. A negative k raises
+    ValueError. `reader` names a reader that needs a simplicial stream,
+    and a cubical one then raises MalformedStream; None reads both modes.
+    """
+    simplicial = stream.mode == "simplicial"
+    if reader is not None and not simplicial:
         raise MalformedStream("%s needs a simplicial stream" % reader)
+    top = stream.k if simplicial else stream.d
     if k is None:
-        k = stream.k
+        k = top
     if k < 0:
         raise ValueError("k must be >= 0")
-    return min(k, stream.k)
+    return min(k, top)
 
 
 def tower_barcode(stream: EventStream, k: Optional[int] = None) -> Barcode:
-    """Barcode of a simplicial tower stream by the elder rule.
+    """Barcode of a tower stream of either mode by the elder rule.
 
     Snapshots are taken at every scale event; intervals use the
     piecewise-constant convention [alpha_i, alpha_{j+1}), with classes
@@ -479,17 +508,18 @@ def tower_barcode(stream: EventStream, k: Optional[int] = None) -> Barcode:
     classes are pushed through the scale step, oldest first; an image
     that depends on the boundaries and the older images ends its bar.
     The snapshots come from `snapshots`, which validates the stream
-    as `replay` does: a cubical or malformed stream raises
-    MalformedStream.
+    as `replay` does, and a malformed stream raises MalformedStream; so
+    does a cubical cell without its 2q facets in any snapshot.
     """
-    k = _tower_k(stream, k, "tower persistence")
+    k = _tower_k(stream, k, None)
+    columns = _simplicial_columns if stream.mode == "simplicial" else _cubical_columns
     out = Barcode()
     # live[p]: (birth, cycle) of every p-class alive at the last
     # snapshot, oldest first
     live: List[List[Tuple[float, int]]] = [[] for _ in range(k + 1)]
     for snap in snapshots(stream):
         born = 0.0 if snap.scale_ordinal == 0 else snap.alpha
-        cycles, boundaries = _cycles_and_boundaries(_simplicial_columns(snap.cells, k + 1), k)
+        cycles, boundaries = _cycles_and_boundaries(columns(snap.cells, k + 1), k)
         for p, pivots in enumerate(boundaries):
             kept = []
             for birth, z in live[p]:

@@ -364,11 +364,45 @@ def test_tower_barcode_two_points():
     assert bc.intervals(1) == []
 
 
-def test_tower_barcode_rejects_cubical_stream():
+def test_tower_barcode_reads_cubical_stream():
+    # the cubical tower's barcode is the flag tower's: at the default k
+    # (capped at d, as the flag tower caps it at its skeleton) and below
     P = random_cloud(14, 5, 2)
     stream = build_cubical_tower(P, seed=0)
-    with pytest.raises(MalformedStream):
-        tower_barcode(stream)
+    flag = tower_barcode(build_simplicial_tower(P, 2, seed=0))
+    assert tower_barcode(stream).to_text() == flag.to_text()
+    assert tower_barcode(stream, 5).to_text() == flag.to_text()
+    assert tower_barcode(stream, 0).to_text() == flag.to_text()  # no bars above dim 0
+
+
+def _differential_corpus():
+    """(P, seed, metric) for the cubical-against-flag test: uniform clouds,
+    integer grids with tied distances, and integer rings, whose hole gives
+    dimension-1 bars, at d = 2, 3, 4."""
+    for d, n, seeds in ((2, 15, 4), (3, 12, 3), (4, 8, 2)):
+        for seed in range(seeds):
+            rng = np.random.default_rng(100 * d + seed)
+            ring = np.zeros((12, d))
+            t = 2 * np.pi * np.arange(12) / 12
+            ring[:, 0], ring[:, 1] = np.round(8 * np.cos(t)), np.round(8 * np.sin(t))
+            metric = ("linf", "l2")[seed % 2]
+            for X in (rng.uniform(0, 10, (n, d)), rng.integers(0, 4, (n, d)), ring):
+                yield PointCloud(np.unique(X.astype(float), axis=0)), seed, metric
+
+
+def test_cubical_tower_barcode_equals_flag_tower_barcode():
+    # the flag complex of a cubical complex's face poset is its barycentric
+    # subdivision, carried along by the cubical maps: same persistence
+    bars_above_0 = 0
+    for P, seed, metric in _differential_corpus():
+        assert P.n <= 15
+        stream = build_cubical_tower(P, seed, metric=metric)
+        for k in range(P.d):
+            flag = build_simplicial_tower(P, min(k + 1, P.d), seed, metric=metric)
+            got = tower_barcode(stream, k)
+            assert got.to_text() == tower_barcode(flag, k).to_text(), (P.points, seed, k)
+            bars_above_0 += sum(len(got.intervals(p)) for p in got.dimensions() if p)
+    assert bars_above_0 > 0  # the corpus reaches beyond dimension 0
 
 
 def test_tower_barcode_caps_dimension():
