@@ -20,7 +20,8 @@ from typing import Dict, List, Optional, Tuple
 from .diagram import certify_approximation
 from .geometry import METRICS, PointCloud
 from .lattice import MAX_DIM
-from .persistence import Barcode, _rips_size, _tower_k, betti, rips_barcode, tower_barcode
+from .persistence import (Barcode, _cubical_columns, _rips_size, _tower_k, betti, rips_barcode,
+                          tower_barcode)
 # no command calls it any more; perfbench/test_perfbench.py checks that
 # the tracer wraps it under this name
 from .persistence import reduce as reduce_filtration  # noqa: F401
@@ -157,9 +158,9 @@ def cmd_compare(args) -> int:
     seed = _resolve_seed(args)
     _guard(n=P.n, d=P.d, k=args.k)
     k = args.k
-    skel = min(k + 1, P.d)
-    stream = build_simplicial_tower(P, skel, seed, metric=args.metric, lam=args.lam,
-                                    max_scales=args.max_scales, guard_cells=args.guard_cells)
+    # the cubical tower: n*2^O(d) cells, and the flag tower's barcode
+    stream = build_cubical_tower(P, seed, metric=args.metric, lam=args.lam,
+                                 max_scales=args.max_scales, guard_cells=args.guard_cells)
     tbc = tower_barcode(stream, k)
     rbc = rips_barcode(P, args.metric, k, max_simplices=args.guard_cells)
     c_claim = _claimed_factor(args.metric, P.d)
@@ -203,6 +204,7 @@ def _stats_checks(stream: EventStream, raw: bytes, points_path: Optional[str],
                        0, not any(final_betti)))
     else:
         add("cell inclusions <= n*6^d", total_includes, cubical_cell_bound(n, d))
+        _cubical_columns(snap.cells, d)  # the final complex's facets, or MalformedStream
         # connectivity only, from the graph of 0- and 1-cells (an edge is
         # a 2-vertex set in both modes): evidence of final-scale collapse
         graph_betti = betti([*snap.cells[0], *snap.cells[1]])

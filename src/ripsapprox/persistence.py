@@ -482,15 +482,12 @@ def _push_vector(vec: int, step: List[Optional[int]]) -> int:
 
 
 def _tower_k(stream: EventStream, k: Optional[int], reader: Optional[str]) -> int:
-    """k for a tower reader: by default and at most the stream's k for a
-    simplicial stream, its d for a cubical one. A negative k raises
-    ValueError. `reader` names a reader that needs a simplicial stream,
-    and a cubical one then raises MalformedStream; None reads both modes.
-    """
-    simplicial = stream.mode == "simplicial"
-    if reader is not None and not simplicial:
+    """k for a tower reader, by default and at most the stream's k (simplicial)
+    or d (cubical); a negative k raises ValueError. `reader` names a reader
+    that needs a simplicial stream, None one that reads both modes."""
+    if reader is not None and stream.mode != "simplicial":
         raise MalformedStream("%s needs a simplicial stream" % reader)
-    top = stream.k if simplicial else stream.d
+    top = stream.k if stream.mode == "simplicial" else stream.d
     if k is None:
         k = top
     if k < 0:

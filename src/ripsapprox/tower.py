@@ -440,7 +440,8 @@ def snapshots(stream: EventStream) -> Iterator[Snapshot]:
     dangling ids, dead references, scales that are not finite and
     positive or that decrease, cells of dimension outside 0..k
     (simplicial) or 0..d (cubical), and simplices included without
-    their facets; cubical facets are not checked.
+    their facets; cubical facets are left to the readers of a snapshot's
+    cubical cells (`tower_barcode`, `stats`).
     """
     parent: Dict[int, int] = {}
     dim_of_id: Dict[int, int] = {}

@@ -60,6 +60,15 @@ FUZZ_BASES = [
 ]
 
 
+# cubical streams that the walk accepts but whose complex is not closed
+# under facets: the contraction C 0 3 maps the square onto 3 corners,
+# which is not a face; the lone square has no edges
+_SQUARE_CORNERS = "H 4 2 0 linf 0 1 1 cubical\nS 1\nI 0 0\nI 1 0\nI 2 0\nI 3 0\n"
+CUBICAL_DIAGONAL_CONTRACTION = (_SQUARE_CORNERS + "I 4 1 0 1\nI 5 1 0 2\nI 6 1 1 3\nI 7 1 2 3\n"
+                                "I 8 2 0 1 2 3\nS 2\nC 0 3\n")
+CUBICAL_LONE_SQUARE = _SQUARE_CORNERS + "I 4 2 0 1 2 3\n"
+
+
 def single_line_mutations(text):
     """Every stream one line away from `text`, in a fixed order: each line
     dropped, duplicated, swapped with the next, or one integer field

@@ -21,7 +21,8 @@ from ripsapprox.cli import (
 from ripsapprox.persistence import Barcode
 from ripsapprox.tower import EventStream
 
-from conftest import cli_env, mutated_stream, random_cloud
+from conftest import (CUBICAL_DIAGONAL_CONTRACTION, CUBICAL_LONE_SQUARE, cli_env,
+                      mutated_stream, random_cloud)
 
 
 def write_points(tmp_path, rows, name="pts.txt"):
@@ -205,6 +206,15 @@ def test_negative_k_exits_parse(tmp_path, capsys):
         assert err.count("\n") == 1 and err.startswith("parse error: k must be")
 
 
+def test_tower_barcode_refuses_cubical_stream(tmp_path, capsys):
+    # the library reads cubical streams; the command stays simplicial
+    _, stream = build_stream_file(tmp_path, mode="cubical")
+    for extra in ([], ["--k", "0"]):
+        assert main(["tower-barcode", stream] + extra) == EXIT_MALFORMED
+        err = capsys.readouterr().err
+        assert err == "malformed stream: tower persistence needs a simplicial stream\n"
+
+
 def test_tower_barcode_malformed_stream(tmp_path):
     _, stream = build_stream_file(tmp_path)
     broken = tmp_path / "broken.txt"
@@ -230,6 +240,14 @@ def test_compare_passes_l2(tmp_path, capsys):
     assert main(["compare", pts, "--metric", "l2", "--seed", "1"]) == EXIT_OK
     report = capsys.readouterr().out
     assert "result: PASS" in report
+
+
+def test_compare_finishes_past_the_flag_tower(tmp_path, capsys):
+    # the flag tower of this input does not fit in memory; compare builds
+    # the cubical tower, n*2^O(d) cells
+    pts = write_points(tmp_path, np.random.default_rng(0).uniform(0, 10, (60, 6)))
+    assert main(["compare", pts, "--k", "1"]) == EXIT_OK
+    assert "result: PASS" in capsys.readouterr().out
 
 
 # --- stats ---
@@ -404,6 +422,10 @@ def test_stats_malformed_exit(tmp_path):
     "H -2 1 1 linf 0 1 1 simplicial\nS 1\nI 0 0\nI 1 0\n",
     "H 4 2 0 linf 0 1 1 cubical\nS 1\nI 0 0\nI 1 0\nI 2 -1 0 1\n",
     "H 3 2 2 linf 0 1 1 simplicial\nS 1\nI 0 0\nI 1 0\nI 2 0\nI 3 2 0 1 2\n",
+    # cubical facet closure, checked on the final complex: a square whose
+    # diagonal contracts to 3 corners, and a square without its edges
+    CUBICAL_DIAGONAL_CONTRACTION,
+    CUBICAL_LONE_SQUARE,
     # numbers are plain ASCII decimals: no digit-group underscores, no
     # non-ASCII digits (U+0660 is ARABIC-INDIC DIGIT ZERO)
     "H 1 1 1 linf 0 1 1 simplicial\nS 1\nI 0_0 0\n",

@@ -31,7 +31,7 @@ from ripsapprox.tower import (
     snapshots,
 )
 
-from conftest import random_cloud
+from conftest import CUBICAL_DIAGONAL_CONTRACTION, CUBICAL_LONE_SQUARE, random_cloud
 
 INF = math.inf
 
@@ -375,6 +375,17 @@ def test_tower_barcode_reads_cubical_stream():
     assert tower_barcode(stream, 0).to_text() == flag.to_text()  # no bars above dim 0
 
 
+def test_tower_barcode_checks_cubical_facets():
+    # the walk accepts both streams; their squares miss facets, which
+    # tower_barcode sees at every k that reads the squares (k >= 1)
+    for text in (CUBICAL_DIAGONAL_CONTRACTION, CUBICAL_LONE_SQUARE):
+        stream = EventStream.parse(text)
+        replay(stream)
+        for k in (None, 1):
+            with pytest.raises(MalformedStream, match="has [02] facets, not 4"):
+                tower_barcode(stream, k)
+
+
 def _differential_corpus():
     """(P, seed, metric) for the cubical-against-flag test: uniform clouds,
     integer grids with tied distances, and integer rings, whose hole gives
@@ -487,9 +498,10 @@ def test_coning_guardrail():
 
 
 def test_coning_rejects_cubical_stream():
+    # tower_barcode reads cubical streams; the oracle stays simplicial
     P = random_cloud(17, 5, 2)
     stream = build_cubical_tower(P, seed=0)
-    with pytest.raises(MalformedStream):
+    with pytest.raises(MalformedStream, match="coning oracle needs a simplicial stream"):
         coning_oracle(stream)
 
 
