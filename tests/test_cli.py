@@ -245,8 +245,8 @@ def test_compare_passes_l2(tmp_path, capsys):
 def test_compare_finishes_past_the_flag_tower(tmp_path, capsys):
     # compare builds the cubical tower, n*2^O(d) cells: 26,083 here, and
     # 36,050 simplices on the exact side. The flag tower of skeleton 2
-    # exceeds this guard (exit 5) and runs out of memory under the
-    # default one.
+    # prices over 2,300,000 cells: exit 5 under this guard, gigabytes under
+    # the default one.
     pts = write_points(tmp_path, np.random.default_rng(0).uniform(0, 10, (60, 6)))
     assert main(["compare", pts, "--k", "1", "--guard-cells", "100000"]) == EXIT_OK
     assert "result: PASS" in capsys.readouterr().out
