@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import subprocess
 import sys
@@ -411,6 +412,34 @@ def test_stats_fails_empty_final_complex(tmp_path, capsys):
         report = capsys.readouterr().out
         assert "live-vertices=0" in report
         assert "check final scale %s FAIL" % check in report
+
+
+# twelve integer points on the circle of radius 5, and one far point
+RING_AND_POINT = [(5, 0), (4, 3), (3, 4), (0, 5), (-3, 4), (-4, 3), (-5, 0), (-4, -3),
+                  (-3, -4), (0, -5), (3, -4), (4, -3), (20, 20)]
+
+
+@pytest.mark.parametrize("rows, tower_args, check, digest", [
+    # cubical, d=3: six components at scale 0
+    (random_cloud(22, 10, 3).points, ["--mode", "cubical", "--lambda", "1.5"],
+     "connected: 6 vs 1", "243edb43674751b28414a6e72b308973d2b47e2ecf848e9b1fa4b05fee63b392"),
+    # simplicial, k = d = 2: the ring's loop and the far point's component
+    (RING_AND_POINT, ["--k", "2", "--lambda", "2.5"],
+     "reduced-acyclic: 2 vs 0", "7a9ff5c0a2b654baa4b1dd8153016271c116acff46aafd45a4cf228456994e56"),
+    # simplicial, k=1 < d: b_1 is not counted in a 1-skeleton, b_0 is
+    (RING_AND_POINT, ["--k", "1", "--lambda", "2.5"],
+     "reduced-acyclic: 1 vs 0", "b86e23ae0432c93849377eccab8ba7eb66d244671244f8cd95c3132cd82728be"),
+])
+def test_stats_pins_complexes_that_do_not_collapse(tmp_path, capsys, rows, tower_args, check,
+                                                   digest):
+    # a stream cut at scale 0 keeps its final complex uncollapsed
+    pts = write_points(tmp_path, rows)
+    stream, report = str(tmp_path / "stream.txt"), tmp_path / "report.txt"
+    assert main(["tower", pts, "--seed", "3", "--max-scales", "0", *tower_args,
+                 "--out", stream]) == EXIT_OK
+    assert main(["stats", stream, "--out", str(report)]) == EXIT_CHECK_FAILED
+    assert "check final scale %s FAIL" % check in report.read_text()
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
 
 
 def test_stats_malformed_exit(tmp_path):
