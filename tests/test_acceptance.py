@@ -426,3 +426,38 @@ def test_criterion_11_smoke_budget(tmp_path, capsys):
     report(capsys, 11, ok,
            "n=200 d=6 cubical tower + stats: rc=%d/%d, %.1fs (budget 60s)"
            % (p1.returncode, p2.returncode, elapsed))
+
+
+# --- criterion 12: the certificate at d = 4-8, on the path `compare` runs ---
+
+
+def test_criterion_12_certificate_high_d(tmp_path, capsys):
+    # `compare --k 1` end to end: the cubical tower, its barcode scaled by
+    # c/4, the exact Rips barcode and the certificate
+    from ripsapprox.cli import main
+
+    t0 = time.monotonic()
+    clouds = []
+    for d in range(4, 9):
+        for n in ((8, 16) if d <= 6 else (8, 12)):
+            clouds.append(("uniform", d, random_cloud(900 + d, n, d).points))
+        # tied integer grids: values 0-2 and 0-1, so many pairs share a distance
+        for values, n in ((3, 14), (2, 10)):
+            grid = np.unique(np.random.default_rng(d).integers(0, values, (n, d)), axis=0)
+            clouds.append(("grid%d" % values, d, grid))
+    rows, bad = [], []
+    pts, out = tmp_path / "pts.txt", tmp_path / "report.txt"
+    for kind, d, cloud in clouds:
+        pts.write_text("\n".join(" ".join("%.17g" % x for x in row) for row in cloud) + "\n")
+        for metric in ("linf", "l2"):
+            rc = main(["compare", str(pts), "--k", "1", "--metric", metric, "--seed", str(d),
+                       "--out", str(out)])
+            fields = dict(line.split(": ", 1) for line in out.read_text().splitlines())
+            ratio = float(fields["achieved"]) / float(fields["claimed factor"])
+            rows.append(((kind, d, len(cloud), metric), ratio))
+            if rc != 0 or fields["result"] != "PASS":
+                bad.append(rows[-1])
+    worst = max(rows, key=lambda r: r[1])
+    report(capsys, 12, len(rows) == 40 and not bad,
+           "%d compares at d = 4-8, worst achieved/claimed = %.4f at %s, %d failures %s, %.1fs"
+           % (len(rows), worst[1], worst[0], len(bad), bad, time.monotonic() - t0))
