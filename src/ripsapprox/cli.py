@@ -15,13 +15,13 @@ import argparse
 import math
 import os
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .diagram import certify_approximation
 from .geometry import METRICS, PointCloud
 from .lattice import MAX_DIM
-from .persistence import (Barcode, _cubical_columns, _rips_size, _tower_k, betti, rips_barcode,
-                          tower_barcode)
+from .persistence import (Barcode, _cycles_and_boundaries, _rips_size, _snapshot_columns,
+                          _tower_k, rips_barcode, tower_barcode)
 # no command calls it any more; perfbench/test_perfbench.py checks that
 # the tracer wraps it under this name
 from .persistence import reduce as reduce_filtration  # noqa: F401
@@ -158,6 +158,8 @@ def cmd_compare(args) -> int:
     seed = _resolve_seed(args)
     _guard(n=P.n, d=P.d, k=args.k)
     k = args.k
+    # the exact side's count first: a compare it refuses exits before the tower is built
+    _rips_size(P.n, k, args.guard_cells)
     # the cubical tower: n*2^O(d) cells, and the flag tower's barcode
     stream = build_cubical_tower(P, seed, metric=args.metric, lam=args.lam,
                                  max_scales=args.max_scales, guard_cells=args.guard_cells)
@@ -180,39 +182,44 @@ def cmd_compare(args) -> int:
     return EXIT_OK if cert.passed else EXIT_CHECK_FAILED
 
 
-def _stats_checks(stream: EventStream, raw: bytes, points_path: Optional[str],
-                  c: Dict[str, int], ibd: Dict[int, int]):
+def cmd_stats(args) -> int:
+    stream, raw = _load_stream(args.stream)
     snap = replay(stream)
     n, d, k = stream.n, stream.d, stream.k
-    total_includes = c["I"]
+    c = stream.counts()
+    ibd = stream.includes_by_dim()
     checks = []
 
     def add(name, observed, bound):
         checks.append((name, observed, bound, observed <= bound))
 
     add("scale events <= m+1", c["S"], scale_event_bound(stream.m))
-    if stream.mode == "simplicial":
+    simplicial = stream.mode == "simplicial"
+    # one homology pass on the final complex: up to k (simplicial), or
+    # dimension 0 alone (cubical, connectivity); building the cubical
+    # columns up to d checks every cell's facets (MalformedStream)
+    cycles, boundaries = _cycles_and_boundaries(_snapshot_columns(snap, stream.top_dim),
+                                                k if simplicial else 0)
+    # reduced Betti numbers from b_-1, which is 1 for the empty complex
+    final_betti = [int(not snap.cells[0])] + [len(z) - len(b) for z, b in zip(cycles, boundaries)]
+    if simplicial:
         add("face inclusions <= n*6^d", ibd.get(0, 0), cubical_cell_bound(n, d))
         sb = simplicial_inclusion_bound(n, d, k)
         if sb is not None:
-            add("simplex inclusions <= n*6^(d-1)(2k+4)(k+3)!S(d,k+2)", total_includes, sb)
-        # the final complex is contractible, so not empty (reduced b_-1 is
-        # 1 for the empty complex), and a stream capped at k < d holds its
-        # k-skeleton, whose b_k need not vanish
-        final_betti = [int(not snap.cells[0])] + betti(snap)[:None if k == d else k]
+            add("simplex inclusions <= n*6^(d-1)(2k+4)(k+3)!S(d,k+2)", c["I"], sb)
+        # the final complex is contractible; a stream capped at k < d
+        # holds its k-skeleton, whose b_k need not vanish
+        final_betti = final_betti[:None if k == d else k + 1]
         checks.append(("final scale reduced-acyclic", sum(final_betti),
                        0, not any(final_betti)))
     else:
-        add("cell inclusions <= n*6^d", total_includes, cubical_cell_bound(n, d))
-        _cubical_columns(snap.cells, d)  # the final complex's facets, or MalformedStream
-        # connectivity only, from the graph of 0- and 1-cells (an edge is
-        # a 2-vertex set in both modes): evidence of final-scale collapse
-        graph_betti = betti([*snap.cells[0], *snap.cells[1]])
-        comps = graph_betti[0] + 1 if graph_betti else 0
+        add("cell inclusions <= n*6^d", c["I"], cubical_cell_bound(n, d))
+        # evidence of final-scale collapse: b_0 + 1 components, none if empty
+        comps = final_betti[1] + 1 - final_betti[0]
         checks.append(("final scale connected", comps, 1, comps == 1))
 
-    if points_path is not None:
-        P = PointCloud.from_file(points_path)
+    if args.points is not None:
+        P = PointCloud.from_file(args.points)
         audit = []
         rebuilt = _build_tower(P, k, stream.seed, stream.metric, stream.mode, stream.lam,
                                stream.m, audit=audit)
@@ -220,17 +227,9 @@ def _stats_checks(stream: EventStream, raw: bytes, points_path: Optional[str],
         checks.append(("rebuild reproduces stream", int(same), 1, same))
         add("active-face inclusions <= n*3^d", sum(sc.new_active for sc in audit),
             active_inclusion_bound(n, d))
-    return checks, snap
 
-
-def cmd_stats(args) -> int:
-    stream, raw = _load_stream(args.stream)
-    c = stream.counts()
-    ibd = stream.includes_by_dim()
-    checks, snap = _stats_checks(stream, raw, args.points, c, ibd)
     lines = ["stats: n=%d d=%d k=%d metric=%s seed=%d mode=%s lambda=%.17g m=%d"
-             % (stream.n, stream.d, stream.k, stream.metric, stream.seed, stream.mode,
-                stream.lam, stream.m),
+             % (n, d, k, stream.metric, stream.seed, stream.mode, stream.lam, stream.m),
              "events: S=%d I=%d C=%d" % (c["S"], c["I"], c["C"]),
              "includes by dim: %s" % " ".join("%d:%d" % (p, ibd[p]) for p in sorted(ibd)),
              "final scale: ordinal=%d alpha=%s live-vertices=%d cells=%d"

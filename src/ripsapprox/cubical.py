@@ -22,7 +22,6 @@ from .lattice import (
     _corners,
     _submasks,
     face_vertices,
-    facets,
     locate,
     subfaces,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "is_spanned",
     "spanned_faces",
     "closure",
-    "cubical_boundary",
     "incident_faces",
 ]
 
@@ -202,24 +200,3 @@ def closure(spanned: Iterable[Face]) -> CubicalComplex:
         raise ValueError("faces from multiple scales")
     s = scales.pop() if scales else 0
     return CubicalComplex(s, {g for f in spanned for g in subfaces(f)}, spanned)
-
-
-def cubical_boundary(U: CubicalComplex, p: int):
-    """GF(2) boundary from p-cubes to (p-1)-cubes.
-
-    Returns (columns, p_faces, pm1_faces): columns[j] lists row indices
-    of the 2*p facets of the j-th p-cube, rows indexed into pm1_faces.
-    """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    p_faces = U.faces_of_dim(p)
-    pm1_faces = U.faces_of_dim(p - 1)
-    row = {f: i for i, f in enumerate(pm1_faces)}
-    cols = []
-    for f in p_faces:
-        try:
-            cols.append(sorted(row[g] for g in facets(f)))
-        except KeyError:
-            raise AssertionError("complex not closed at %r" % (f,))
-    return cols, p_faces, pm1_faces
-

@@ -18,8 +18,9 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .cubical import CubicalComplex, cubical_boundary
+from .cubical import CubicalComplex
 from .geometry import PointCloud
+from .lattice import face_vertices
 from .tower import (EventStream, GuardrailExceeded, Include, MalformedStream, Scale, Snapshot,
                     _find, _fmt_g17, _text_lines, replay, snapshots)
 
@@ -381,10 +382,12 @@ def _simplicial_columns(cells: List[Dict[Tuple[int, ...], int]], top: int) -> Li
 def _cubical_columns(cells: List[Dict[Tuple[int, ...], int]], top: int) -> List[List[int]]:
     """Boundary bitmasks of the cubical q-cells for q <= top, in bit order.
 
-    `cells[q]` maps each q-cell, its sorted corner ids, to its bit. The
-    facets of a q-cell are the (q-1)-cells whose corners are among its
-    own, found through an index by smallest corner; a q-cell without
-    exactly 2q of them raises MalformedStream.
+    The one cubical boundary builder: `betti`, `tower_barcode` and
+    `stats` read cubical cells through it. `cells[q]` maps each q-cell,
+    its sorted corner ids, to its bit. The facets of a q-cell are the
+    (q-1)-cells whose corners are among its own, found through an index
+    by smallest corner; a q-cell without exactly 2q of them (a complex
+    not closed under facets) raises MalformedStream.
     """
     columns = [[1] * len(cells[0])]  # the augmentation row
     for q, (below, here) in enumerate(zip(cells, cells[1:top + 1]), 1):
@@ -400,6 +403,13 @@ def _cubical_columns(cells: List[Dict[Tuple[int, ...], int]], top: int) -> List[
             cols.append(sum(1 << bit for bit in bits))
         columns.append(cols)
     return columns
+
+
+def _snapshot_columns(snap: Snapshot, top: int) -> List[List[int]]:
+    """Boundary bitmasks of a snapshot's cells for q <= top, by the builder
+    of its stream's mode."""
+    build = _simplicial_columns if snap.mode == "simplicial" else _cubical_columns
+    return build(snap.cells, top)
 
 
 def _cycles_and_boundaries(columns: List[List[int]], top: int):
@@ -437,13 +447,17 @@ def betti(obj) -> List[int]:
     """Reduced Betti numbers per dimension, by cycle and boundary ranks.
 
     Accepts a CubicalComplex, a replayed Snapshot, or any iterable of
-    simplex vertex-tuples.
+    simplex vertex-tuples. A CubicalComplex that is not closed under
+    facets raises MalformedStream, from `_cubical_columns`.
     """
     if isinstance(obj, CubicalComplex):
-        columns = [[1] * len(obj.faces_of_dim(0))] if obj.dim >= 0 else []
-        for p in range(1, obj.dim + 1):
-            cols, _, _ = cubical_boundary(obj, p)
-            columns.append([sum(1 << i for i in col) for col in cols])
+        # each face as the sorted ids of its corners, the 0-faces numbered
+        # first; a corner outside the complex gets a fresh id, so the cells
+        # around it miss a facet
+        ids = {v: i for i, v in enumerate(obj.faces_of_dim(0))}
+        cells = [{tuple(sorted(ids.setdefault(v, len(ids)) for v in face_vertices(f))): j
+                  for j, f in enumerate(obj.faces_of_dim(q))} for q in range(obj.dim + 1)]
+        columns = _cubical_columns(cells, obj.dim) if cells else []
     else:
         if isinstance(obj, Snapshot):
             if obj.mode != "simplicial":
@@ -482,17 +496,16 @@ def _push_vector(vec: int, step: List[Optional[int]]) -> int:
 
 
 def _tower_k(stream: EventStream, k: Optional[int], reader: Optional[str]) -> int:
-    """k for a tower reader, by default and at most the stream's k (simplicial)
-    or d (cubical); a negative k raises ValueError. `reader` names a reader
-    that needs a simplicial stream, None one that reads both modes."""
+    """k for a tower reader, by default and at most `stream.top_dim`; a
+    negative k raises ValueError. `reader` names a reader that needs a
+    simplicial stream, None one that reads both modes."""
     if reader is not None and stream.mode != "simplicial":
         raise MalformedStream("%s needs a simplicial stream" % reader)
-    top = stream.k if stream.mode == "simplicial" else stream.d
     if k is None:
-        k = top
+        k = stream.top_dim
     if k < 0:
         raise ValueError("k must be >= 0")
-    return min(k, top)
+    return min(k, stream.top_dim)
 
 
 def tower_barcode(stream: EventStream, k: Optional[int] = None) -> Barcode:
@@ -509,14 +522,13 @@ def tower_barcode(stream: EventStream, k: Optional[int] = None) -> Barcode:
     does a cubical cell without its 2q facets in any snapshot.
     """
     k = _tower_k(stream, k, None)
-    columns = _simplicial_columns if stream.mode == "simplicial" else _cubical_columns
     out = Barcode()
     # live[p]: (birth, cycle) of every p-class alive at the last
     # snapshot, oldest first
     live: List[List[Tuple[float, int]]] = [[] for _ in range(k + 1)]
     for snap in snapshots(stream):
         born = 0.0 if snap.scale_ordinal == 0 else snap.alpha
-        cycles, boundaries = _cycles_and_boundaries(columns(snap.cells, k + 1), k)
+        cycles, boundaries = _cycles_and_boundaries(_snapshot_columns(snap, k + 1), k)
         for p, pivots in enumerate(boundaries):
             kept = []
             for birth, z in live[p]:

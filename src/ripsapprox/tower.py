@@ -118,6 +118,11 @@ class EventStream:
         self.mode = mode
         self.events = list(events)
 
+    @property
+    def top_dim(self) -> int:
+        """The top cell dimension: k for a simplicial stream, d for a cubical one."""
+        return self.k if self.mode == "simplicial" else self.d
+
     def counts(self) -> Dict[str, int]:
         c = {"S": 0, "I": 0, "C": 0}
         for e in self.events:
@@ -410,10 +415,10 @@ class Snapshot:
     """The complex after one scale group of a stream (the scale_ordinal-th).
 
     cells[q] maps each q-cell, a sorted tuple of live vertex ids, to its
-    index, for q in 0..top (k for a simplicial stream, d for a cubical
-    one); a simplicial q-cell has q + 1 vertices, a cubical one 2^q
-    corners. steps[q] maps each q-cell index of the previous snapshot to
-    its image's index, or to None when the cell collapsed.
+    index, for q in 0..`EventStream.top_dim`; a simplicial q-cell has
+    q + 1 vertices, a cubical one 2^q corners. steps[q] maps each q-cell
+    index of the previous snapshot to its image's index, or to None when
+    the cell collapsed.
     """
 
     def __init__(self, mode: str, alpha: Optional[float], scale_ordinal: int,
@@ -438,10 +443,10 @@ def snapshots(stream: EventStream) -> Iterator[Snapshot]:
     Each snapshot holds fresh containers. The stream is fully validated
     only once the iterator is exhausted. Raises MalformedStream on
     dangling ids, dead references, scales that are not finite and
-    positive or that decrease, cells of dimension outside 0..k
-    (simplicial) or 0..d (cubical), and simplices included without
-    their facets; cubical facets are left to the readers of a snapshot's
-    cubical cells (`tower_barcode`, `stats`).
+    positive or that decrease, cells of dimension outside
+    0..`stream.top_dim`, and simplices included without their facets.
+    Cubical facets are checked where a snapshot's cubical cells are read,
+    by `persistence._cubical_columns` (`tower_barcode` and `stats`).
     """
     parent: Dict[int, int] = {}
     dim_of_id: Dict[int, int] = {}
@@ -450,7 +455,7 @@ def snapshots(stream: EventStream) -> Iterator[Snapshot]:
     group: List[Tuple[int, Tuple[int, ...]]] = []
     contracted: List[int] = []
     simplicial = stream.mode == "simplicial"
-    top_dim = stream.k if simplicial else stream.d
+    top_dim = stream.top_dim
     cells: List[Dict[Tuple[int, ...], int]] = [{} for _ in range(top_dim + 1)]
     alpha = None
     ordinal = -1
@@ -538,7 +543,7 @@ def snapshots(stream: EventStream) -> Iterator[Snapshot]:
 def replay(stream: EventStream) -> Snapshot:
     """The last of `snapshots(stream)` (the whole stream validated), or for a
     stream without a scale the empty one: ordinal -1, alpha None, no cells."""
-    empty = [{} for _ in range((stream.k if stream.mode == "simplicial" else stream.d) + 1)]
+    empty = [{} for _ in range(stream.top_dim + 1)]
     snap = Snapshot(stream.mode, None, -1, empty, [[] for _ in empty])
     for snap in snapshots(stream):
         pass

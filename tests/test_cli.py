@@ -160,6 +160,16 @@ def test_compare_guardrail_on_exact_side(tmp_path, capsys):
     assert main(["compare", pts, "--seed", "1", "--guard-cells", "4525"]) == EXIT_OK
 
 
+def test_compare_checks_exact_side_before_the_tower(tmp_path, capsys, monkeypatch):
+    def no_tower(*args, **kwargs):
+        raise AssertionError("tower built before the exact side's count")
+
+    monkeypatch.setattr(cli, "build_cubical_tower", no_tower)
+    pts = write_cloud(tmp_path, 4, 30, 1)
+    assert main(["compare", pts, "--seed", "1", "--guard-cells", "4524"]) == EXIT_GUARDRAIL
+    assert capsys.readouterr().err == "guardrail: Rips filtration needs 4525 simplices > 4524\n"
+
+
 # --- tower barcode ---
 
 

@@ -5,13 +5,14 @@ from ripsapprox.cubical import (
     CubicalComplex,
     active_vertices,
     closure,
-    cubical_boundary,
     incident_faces,
     is_spanned,
     spanned_faces,
     _spanned,
 )
 from ripsapprox.geometry import PointCloud
+from ripsapprox.persistence import _cubical_columns, betti
+from ripsapprox.tower import MalformedStream
 from ripsapprox.lattice import (
     MAX_DIM,
     Face,
@@ -191,38 +192,50 @@ def test_complex_rejects_active_faces_outside_it():
         CubicalComplex(0, {Face(0, (0,), 0)}, {Face(0, (1,), 0)})
 
 
-# --- boundary operator ---
+# --- boundary operator: persistence._cubical_columns on corner ids ---
+
+
+def corner_cells(U):
+    """U's faces, per dimension, as sorted corner-id tuples mapped to their
+    bits: the cell form of a stream snapshot."""
+    ids = {v: i for i, v in enumerate(U.faces_of_dim(0))}
+    return [{tuple(sorted(ids[v] for v in face_vertices(f))): j
+             for j, f in enumerate(U.faces_of_dim(q))} for q in range(U.dim + 1)]
 
 
 def test_boundary_interval_and_square():
-    U = closure({Face(0, (0,), 1)})
-    cols, p_faces, pm1 = cubical_boundary(U, 1)
-    assert len(cols) == 1 and sorted(cols[0]) == [0, 1]
-    assert len(pm1) == 2
+    cells = corner_cells(closure({Face(0, (0,), 1)}))
+    assert [len(c) for c in cells] == [2, 1]
+    assert _cubical_columns(cells, 1) == [[1, 1], [0b11]]
 
-    Usq = closure({Face(0, (0, 0), 0b11)})
-    cols2, sq, edges = cubical_boundary(Usq, 2)
-    assert len(cols2) == 1 and len(cols2[0]) == 4
-    assert len(edges) == 4
+    cells = corner_cells(closure({Face(0, (0, 0), 0b11)}))
+    assert [len(c) for c in cells] == [4, 4, 1]
+    assert _cubical_columns(cells, 2)[2] == [0b1111]
 
 
 def test_boundary_squares_to_zero():
-    Usq = closure({Face(0, (0, 0, 0), 0b111)})
-    for p in (2, 3):
-        cols_p, pf, _ = cubical_boundary(Usq, p)
-        cols_pm1, _, _ = cubical_boundary(Usq, p - 1)
-        for col in cols_p:
+    cells = corner_cells(closure({Face(0, (0, 0, 0), 0b111)}))
+    assert [len(c) for c in cells] == [8, 12, 6, 1]
+    columns = _cubical_columns(cells, 3)
+    for p in (1, 2, 3):
+        for col in columns[p]:
+            assert col.bit_count() == 2 * p
             acc = 0
-            for r in col:
-                for rr in cols_pm1[r]:
-                    acc ^= 1 << rr
-            assert acc == 0
+            for r, below in enumerate(columns[p - 1]):
+                if col >> r & 1:
+                    acc ^= below
+            # at p = 1 the rows below are the augmentation
+            assert acc == 0, (p, col)
 
 
-def test_boundary_validation():
-    U = closure({Face(0, (0,), 1)})
-    with pytest.raises(ValueError):
-        cubical_boundary(U, 0)
+def test_boundary_rejects_complex_not_closed():
+    edge, square = Face(0, (0,), 1), Face(0, (0, 0), 0b11)
+    lone_edge = CubicalComplex(0, {edge}, {edge})
+    no_bottom = CubicalComplex(0, set(closure({square}).faces()) - {Face(0, (0, 0), 0b01)},
+                               {square})
+    for U in (lone_edge, no_bottom):
+        with pytest.raises(MalformedStream, match="facets"):
+            betti(U)
 
 
 # --- the cross-scale map ---
