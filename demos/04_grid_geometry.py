@@ -3,18 +3,18 @@ import numpy as np
 
 from ripsapprox.lattice import (
     Face,
-    ShiftSequence,
     build_frames,
     face_map_g,
     locate,
+    shift_signs,
     vertex_map_g,
 )
 from ripsapprox.tower import survival_experiment
 
 d, m = 2, 5
-shifts = ShiftSequence(42, d)
-frames = build_frames(1.0, m, d, shifts)
-print("per-scale half-step shifts:", [shifts.signs(s) for s in range(m)])
+signs = [shift_signs(42, d, s) for s in range(m)]
+frames = build_frames(1.0, d, signs)
+print("per-scale half-step shifts:", signs)
 print("alphas:", [fr.alpha for fr in frames])
 
 # each point snaps to the grid vertex, a 0-face, whose half-open cell contains it

@@ -115,7 +115,7 @@ def _feasible(c: float, nA: int, nB: int, pair, delA, delB) -> bool:
 
 def _split(intervals: List[Interval]) -> Tuple[List[Interval], List[Interval]]:
     """Sorted (bars that cannot be deleted, the rest). The bars come from
-    a `Barcode`, which holds only bars with 0 <= birth <= death."""
+    a `Barcode`, which holds only bars with 0 <= birth <= death, birth finite."""
     fixed: List[Interval] = []
     rest: List[Interval] = []
     for iv in sorted(intervals):

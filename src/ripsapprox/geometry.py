@@ -2,8 +2,8 @@
 
 Point-cloud files are UTF-8 text, one point per line, coordinates
 separated by whitespace or commas; blank lines and '#' comments are
-ignored. Outside comments, a line holds printable ASCII and tabs, and
-no '_'. All lines must agree on the dimension.
+ignored. Outside comments, a line keeps the character rule of every text
+input (`_plain_text`). All lines must agree on the dimension.
 """
 
 from __future__ import annotations
@@ -21,6 +21,18 @@ __all__ = [
 
 
 METRICS = ("linf", "l2")
+
+# printable ASCII but "_", which int and float read as a digit-group
+# separator, tab and line ends; str.split() breaks at other controls
+_TEXT_CHARS = b"\t\n\r" + bytes(range(0x20, 0x5F)) + bytes(range(0x60, 0x7F))
+
+
+def _plain_text(text: str) -> bool:
+    """The character rule of the text inputs (points, streams, barcodes):
+    every line holds printable ASCII and tabs, and no "_"; a "\r" is
+    allowed only where it ends a CRLF line."""
+    return (text.isascii() and not text.encode().translate(None, _TEXT_CHARS)
+            and text.count("\r") == text.count("\r\n"))
 
 
 def _distance(p, q, metric: str) -> np.ndarray:
@@ -93,8 +105,7 @@ class PointCloud:
                 line = line.rstrip("\n")  # text mode ends lines at "\n", "\r\n" or a lone "\r"
                 if line.lstrip().startswith("#"):
                     continue
-                # float() reads "_" and non-ASCII digits; split() breaks at control characters
-                if "_" in line or not (line.isascii() and line.replace("\t", " ").isprintable()):
+                if not _plain_text(line):
                     raise ValueError("%s:%d: coordinates must be plain ASCII decimals: %s"
                                      % (path, lineno, ascii(line)))
                 parts = line.replace(",", " ").split()

@@ -3,20 +3,20 @@
 A frame at scale s has cell width alpha_s = lambda * 2^s. All grid
 coordinates are integers in units of u = lambda / 2: the grid points of
 frame s are (offset + 2^(s+1) * z) * u for z in Z^d, and successive
-offsets obey offset_{s+1} = offset_s + 2^s * eps_s with eps_s a random
-sign vector. Keeping everything in integer u-units eliminates
-floating-point ties everywhere except point location.
+offsets obey offset_{s+1} = offset_s + 2^s * eps_s, where the sign row
+eps_s is `shift_signs(seed, d, s)`. Keeping everything in integer u-units
+eliminates floating-point ties everywhere except point location.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cache
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 __all__ = [
     "MAX_DIM",
-    "ShiftSequence",
+    "shift_signs",
     "GridFrame",
     "Face",
     "build_frames",
@@ -44,45 +44,19 @@ def _splitmix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
-class ShiftSequence:
-    """Reproducible per-scale sign vectors eps_s in {-1,+1}^d.
+def shift_signs(seed: int, d: int, s: int) -> Tuple[int, ...]:
+    """The shift signs eps_s in {-1,+1}^d between frames s and s+1.
 
-    Signs are derived from (seed, s, coordinate) by a splitmix64 chain,
-    so the same seed always yields the same grid ladder. `fixed` builds
-    a sequence with hand-picked signs for tests.
+    Signs are derived from (seed mod 2^64, s, coordinate) by a splitmix64
+    chain, so the same seed always yields the same grid ladder.
     """
-
-    def __init__(self, seed: int, d: int):
-        if not (1 <= d <= MAX_DIM):
-            raise ValueError("d must be in 1..%d, got %d" % (MAX_DIM, d))
-        self.seed = int(seed) & _MASK64
-        self.d = d
-        self._fixed = None
-
-    @classmethod
-    def fixed(cls, signs_by_scale: Sequence[Sequence[int]], d: Optional[int] = None) -> "ShiftSequence":
-        signs = [tuple(int(x) for x in row) for row in signs_by_scale]
-        if d is None:
-            if not signs:
-                raise ValueError("need d when no sign rows are given")
-            d = len(signs[0])
-        for row in signs:
-            if len(row) != d or any(x not in (-1, 1) for x in row):
-                raise ValueError("sign rows must be +-1 vectors of length d")
-        obj = cls(0, d)
-        obj._fixed = signs
-        return obj
-
-    def signs(self, s: int) -> Tuple[int, ...]:
-        if s < 0:
-            raise ValueError("scale index must be >= 0")
-        if self._fixed is not None:
-            if s >= len(self._fixed):
-                raise ValueError("fixed shift sequence has no signs for scale %d" % s)
-            return self._fixed[s]
-        base = _splitmix64(self.seed ^ _splitmix64(s + 1))
-        return tuple(1 if _splitmix64(base ^ (0x9E3779B97F4A7C15 * (i + 1) & _MASK64)) & 1 else -1
-                     for i in range(self.d))
+    if not (1 <= d <= MAX_DIM):
+        raise ValueError("d must be in 1..%d, got %d" % (MAX_DIM, d))
+    if s < 0:
+        raise ValueError("scale index must be >= 0")
+    base = _splitmix64((int(seed) & _MASK64) ^ _splitmix64(s + 1))
+    return tuple(1 if _splitmix64(base ^ (0x9E3779B97F4A7C15 * (i + 1) & _MASK64)) & 1 else -1
+                 for i in range(d))
 
 
 class GridFrame(NamedTuple):
@@ -140,22 +114,19 @@ class Face(NamedTuple):
         return len(self.anchor)
 
 
-def build_frames(lam: float, m: int, d: int, shifts: ShiftSequence) -> List[GridFrame]:
-    """Frames for scales 0..m; offset_0 = 0, offset_{s+1} = offset_s + 2^s*eps_s."""
+def build_frames(lam: float, d: int, signs: Sequence[Sequence[int]]) -> List[GridFrame]:
+    """Frames for scales 0..len(signs); offset_0 = 0 and
+    offset_{s+1} = offset_s + 2^s * signs[s], each row a +-1 vector."""
     if not (math.isfinite(lam) and lam > 0):
         raise ValueError("lambda must be finite and positive, got %r" % (lam,))
-    if m < 0:
-        raise ValueError("m must be >= 0")
     if not (1 <= d <= MAX_DIM):
         raise ValueError("d must be in 1..%d, got %d" % (MAX_DIM, d))
-    if shifts.d != d:
-        raise ValueError("shift sequence dimension %d != %d" % (shifts.d, d))
     frames = [GridFrame(0, lam, (0,) * d)]
-    for s in range(m):
-        eps = shifts.signs(s)
-        prev = frames[-1].offset
-        nxt = tuple(o + (1 << s) * e for o, e in zip(prev, eps))
-        frames.append(GridFrame(s + 1, lam, nxt))
+    for s, eps in enumerate(signs):
+        if len(eps) != d or any(e not in (-1, 1) for e in eps):
+            raise ValueError("sign rows must be +-1 vectors of length d")
+        offset = tuple(o + (int(e) << s) for o, e in zip(frames[-1].offset, eps))
+        frames.append(GridFrame(s + 1, lam, offset))
     return frames
 
 

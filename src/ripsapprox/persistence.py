@@ -51,8 +51,9 @@ class Barcode:
                 self.add(p, b, d)
 
     def add(self, p: int, birth: float, death: float) -> None:
-        if not (p >= 0 and 0.0 <= birth <= death):
-            raise ValueError("bar needs p >= 0 and 0 <= birth <= death: %r" % ((p, birth, death),))
+        if not (p >= 0 and 0.0 <= birth <= death and birth < INF):
+            raise ValueError("bar needs p >= 0 and 0 <= birth <= death, birth finite: %r"
+                             % ((p, birth, death),))
         self._ivals.setdefault(p, []).append((birth, death))
 
     def dimensions(self) -> List[int]:
@@ -466,6 +467,8 @@ def betti(obj) -> List[int]:
             cells = obj.cells[:max((q + 1 for q, c in enumerate(obj.cells) if c), default=0)]
         else:
             simplices = [tuple(sorted(t)) for t in obj]
+            if () in simplices:
+                raise ValueError("a simplex needs at least one vertex")
             cells = []
             for t in sorted(set(simplices), key=lambda t: (len(t), t)):
                 while len(cells) < len(t):

@@ -28,12 +28,12 @@ from .cubical import _close, _spanned, active_vertices
 # the build calls `_spanned`; perfbench/test_perfbench.py checks that the
 # tracer wraps this name
 from .cubical import spanned_faces  # noqa: F401
-from .geometry import METRICS, PointCloud, closest_pair, diameter
+from .geometry import METRICS, PointCloud, _plain_text, closest_pair, diameter
 from .lattice import (
     MAX_DIM,
     Face,
     GridFrame,
-    ShiftSequence,
+    shift_signs,
     _face_image,
     _FaceCodec,
     _splitmix64,
@@ -91,12 +91,14 @@ def _fmt_g17(x: float) -> str:
 
 def _text_lines(text: str, error=ValueError) -> List[str]:
     """The lines of a stream or barcode text, each ended by "\n" alone. A line
-    with a non-ASCII character or a "_", which int and float would read as
-    a digit or a digit-group separator, raises `error` naming it."""
+    that breaks the character rule of the text inputs (`_plain_text`: no
+    "_", no non-ASCII or control character but tab and the "\r" of a CRLF
+    line) raises `error` naming it."""
     lines = text.split("\n")
-    if not text.isascii() or "_" in text:
+    if not _plain_text(text):
         for lineno, line in enumerate(lines, start=1):
-            if not line.isascii() or "_" in line:
+            # every line but the last ends with the "\n" split took off
+            if not _plain_text(line + "\n" if lineno < len(lines) else line):
                 raise error("line %d: numbers must be plain ASCII decimals: %s"
                             % (lineno, ascii(line)))
     if not lines[-1]:
@@ -104,19 +106,20 @@ def _text_lines(text: str, error=ValueError) -> List[str]:
     return lines
 
 
+@dataclass(repr=False)
 class EventStream:
-    """Header plus ordered Scale/Include/Contract events."""
+    """Header plus ordered Scale/Include/Contract events; two streams are
+    equal when their headers and events are."""
 
-    def __init__(self, n, d, k, metric, seed, lam, m, mode, events):
-        self.n = n
-        self.d = d
-        self.k = k
-        self.metric = metric
-        self.seed = seed
-        self.lam = lam
-        self.m = m
-        self.mode = mode
-        self.events = list(events)
+    n: int
+    d: int
+    k: int
+    metric: str
+    seed: int
+    lam: float
+    m: int
+    mode: str
+    events: List
 
     @property
     def top_dim(self) -> int:
@@ -193,13 +196,6 @@ class EventStream:
             except ValueError:
                 raise MalformedStream("line %d: cannot parse %r" % (lineno, line))
         return cls(n, d, k, metric, seed, lam, m, mode, events)
-
-    def _header(self) -> Tuple:
-        return (self.n, self.d, self.k, self.metric, self.seed, self.lam, self.m, self.mode)
-
-    def __eq__(self, other):
-        return (isinstance(other, EventStream) and self._header() == other._header()
-                and self.events == other.events)
 
 
 def _ladder_for(P: PointCloud, lam, max_scales) -> Tuple[float, int]:
@@ -291,7 +287,6 @@ def _build_tower(P: PointCloud, k: int, seed: int, metric: str, mode: str, lam=N
 
     lam, m = _ladder_for(P, lam, max_scales)
     d = P.d
-    shifts = ShiftSequence(seed, d)
     # flags are strict subface chains of at most flag_len faces; a
     # cubical tower (k = 0) emits the faces alone
     flag_len = k + 1
@@ -320,7 +315,7 @@ def _build_tower(P: PointCloud, k: int, seed: int, metric: str, mode: str, lam=N
         groups: Dict[int, List[int]] = {}
         images: Set[int] = set()
         if s:
-            g = codec.step(shifts.signs(s - 1))
+            g = codec.step(shift_signs(seed, d, s - 1))
             for f, fid in id_of_face.items():
                 groups.setdefault(g(f), []).append(fid)
             images.update(groups)
@@ -593,12 +588,11 @@ def survival_experiment(d: int, k: int, trials: int, seed: int) -> Counter:
     hist: Counter = Counter()
     for t in range(trials):
         sub = _splitmix64((seed & ((1 << 64) - 1)) ^ _splitmix64(t + 1))
-        shifts = ShiftSequence(sub, d)
         anchor: Tuple[int, ...] = (0,) * d
         mask = (1 << k) - 1
         y = 0
         while mask:
-            anchor, mask = _face_image(anchor, mask, shifts.signs(y))
+            anchor, mask = _face_image(anchor, mask, shift_signs(sub, d, y))
             y += 1
             if y > 10000:
                 raise RuntimeError("survival runaway")

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from ripsapprox.cubical import active_vertices, closure, spanned_faces
 from ripsapprox.geometry import PointCloud
-from ripsapprox.lattice import ShiftSequence, build_frames, face_map_g
+from ripsapprox.lattice import build_frames, face_map_g, shift_signs
 from ripsapprox.tower import build_cubical_tower, build_simplicial_tower
 
 
@@ -29,13 +29,6 @@ def random_cloud(seed, n, d, box=10.0):
             return PointCloud(pts)
 
 
-def frames_fixed(lam, signs, d=None):
-    """The frames of a ladder with hand-picked shift signs, one row per step."""
-    rows = [tuple(r) for r in signs]
-    sh = ShiftSequence.fixed(rows, d=d)
-    return build_frames(lam, len(rows), sh.d, sh)
-
-
 def definition_complexes(P, stream):
     """Each scale's complex of the tower `stream` built from P, from the
     definition: the scale-0 active vertices are the cells that hold a
@@ -43,7 +36,7 @@ def definition_complexes(P, stream):
     g, and the complex is the closure of the faces they span. Only the
     stream's header (lambda, m, seed) is read. Yields (spanned, complex)
     for scales 0..m."""
-    frames = build_frames(stream.lam, stream.m, P.d, ShiftSequence(stream.seed, P.d))
+    frames = build_frames(stream.lam, P.d, [shift_signs(stream.seed, P.d, s) for s in range(stream.m)])
     V = active_vertices(frames[0], P)
     for s, frame in enumerate(frames):
         if s:

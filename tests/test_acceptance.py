@@ -15,10 +15,10 @@ from ripsapprox.diagram import certify_approximation
 from ripsapprox.geometry import PointCloud, spread
 from ripsapprox.lattice import (
     Face,
-    ShiftSequence,
     build_frames,
     face_map_g,
     face_vertices,
+    shift_signs,
     subfaces,
     vertex_map_g,
 )
@@ -192,8 +192,8 @@ def _random_frames(rng):
     d = int(rng.integers(1, 7))
     m = int(rng.integers(1, 6))
     lam = float(rng.uniform(0.1, 2.0))
-    sh = ShiftSequence(int(rng.integers(0, 2 ** 63)), d)
-    return build_frames(lam, m, d, sh), d, m
+    seed = int(rng.integers(0, 2 ** 63))
+    return build_frames(lam, d, [shift_signs(seed, d, s) for s in range(m)]), d, m
 
 
 def test_criterion_6_grid_map_properties(capsys):

@@ -5,9 +5,9 @@ import pytest
 
 from ripsapprox.barycentric import FlagSimplex, build_order_complex, simplicial_image
 from ripsapprox.cubical import active_vertices, closure, spanned_faces
-from ripsapprox.lattice import Face
+from ripsapprox.lattice import Face, build_frames
 
-from conftest import frames_fixed, random_cloud
+from conftest import random_cloud
 
 
 def square_complex():
@@ -114,20 +114,20 @@ def test_flag_accessor_roundtrip():
 
 
 def test_image_collapse_dedupes():
-    frames = frames_fixed(1.0, [(1,)])
+    frames = build_frames(1.0, 1, [(1,)])
     v = Face(0, (0,), 0)
     e = Face(0, (0,), 1)
     img = simplicial_image(frames, 0, FlagSimplex((v, e)))
     assert img.dim == 0  # edge direction collapses onto g(v)
 
-    minus = frames_fixed(1.0, [(-1,)])
+    minus = build_frames(1.0, 1, [(-1,)])
     img = simplicial_image(minus, 0, FlagSimplex((v, e)))
     assert img.dim == 1
     assert img.faces[0].mask == 0 and img.faces[1].mask == 1
 
 
 def test_image_of_vertex_simplex():
-    frames = frames_fixed(1.0, [(1, -1)])
+    frames = build_frames(1.0, 2, [(1, -1)])
     v = Face(0, (2, 3), 0)
     img = simplicial_image(frames, 0, FlagSimplex((v,)))
     assert img.dim == 0
@@ -137,7 +137,7 @@ def _towers(seed, n, d, m):
     rng = np.random.default_rng(seed)
     P = random_cloud(seed, n, d, box=6.0)
     signs = [tuple(rng.choice((-1, 1), d)) for _ in range(m)]
-    frames = frames_fixed(1.0, signs)
+    frames = build_frames(1.0, d, signs)
     levels = []
     for fr in frames:
         V = active_vertices(fr, P)

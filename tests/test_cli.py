@@ -476,6 +476,10 @@ def test_stats_malformed_exit(tmp_path):
     # a line ends at \n only: these are one malformed line 2, not two events
     "H 1 1 0 linf 0 1 0 simplicial\nS 1\x1cI 0 0\n",
     "H 1 1 0 linf 0 1 0 simplicial\nS 1\rI 0 0\n",
+    # within a line no control character but tab: split() would read
+    # these as a space
+    "H 1 1 1 linf 0 1 1 simplicial\nS 1\nI 0\x1c0\n",
+    "H 1 1 0 linf 0 1 0 simplicial\nS 1\n\x0cI 0 0\n",
 ])
 def test_malformed_stream_values_exit(tmp_path, capsys, text):
     f = tmp_path / "bad.txt"

@@ -17,6 +17,7 @@ from ripsapprox.lattice import (
     MAX_DIM,
     Face,
     GridFrame,
+    build_frames,
     face_map_g,
     face_vertices,
     locate,
@@ -24,7 +25,7 @@ from ripsapprox.lattice import (
     _FaceCodec,
 )
 
-from conftest import frames_fixed, random_cloud
+from conftest import random_cloud
 
 
 def vmap(s, assignment):
@@ -35,7 +36,7 @@ def vmap(s, assignment):
 
 
 def test_active_vertices_examples():
-    fr = frames_fixed(1.0, [(1,)])[0]
+    fr = build_frames(1.0, 1, [(1,)])[0]
     assert active_vertices(fr, PointCloud([0.1])) == {Face(0, (0,), 0)}
     assert active_vertices(fr, PointCloud([0.1, 0.2])) == {Face(0, (0,), 0)}
     assert active_vertices(fr, PointCloud([0.1, 1.9])) == {Face(0, (0,), 0), Face(0, (2,), 0)}
@@ -43,7 +44,7 @@ def test_active_vertices_examples():
 
 def test_active_vertices_partition_and_section():
     P = random_cloud(0, 9, 2)
-    fr = frames_fixed(0.8, [(1, -1)])[0]
+    fr = build_frames(0.8, 2, [(1, -1)])[0]
     assert active_vertices(fr, P) == {locate(fr, p) for p in P.points}
 
 
@@ -70,7 +71,7 @@ def test_spanned_edge_cases():
 
 def test_spanned_faces_examples():
     single = vmap(0, {(3, -2): [0]})
-    fr = frames_fixed(1.0, [(1, 1)])[0]
+    fr = build_frames(1.0, 2, [(1, 1)])[0]
     assert spanned_faces(fr, single) == {Face(0, (3, -2), 0)}
 
     shared_edge = vmap(0, {(0, 0): [0], (1, 0): [1]})
@@ -83,7 +84,7 @@ def test_spanned_faces_examples():
 
 
 def test_spanned_faces_empty_rejected():
-    fr = frames_fixed(1.0, [(1, 1)])[0]
+    fr = build_frames(1.0, 2, [(1, 1)])[0]
     with pytest.raises(ValueError):
         spanned_faces(fr, vmap(0, {}))
     # a packed edge would put its mask bits in every spanned key
@@ -98,7 +99,7 @@ def test_spanned_faces_matches_bruteforce():
     for d in range(1, 6):
         block = [tuple(int(t) for t in z) for z in np.ndindex(*(3,) * d)]
         for fill in (0.0, 0.1, 0.3, 0.6, 0.9, None, None, None):
-            fr = frames_fixed(1.0, [tuple(rng.choice((-1, 1), d))])[0]
+            fr = build_frames(1.0, d, [tuple(rng.choice((-1, 1), d))])[0]
             if fill is None:
                 zs = {tuple(int(t) for t in rng.integers(0, 5, d)) for _ in range(3 * d)}
             else:
@@ -138,7 +139,7 @@ def test_incident_faces_counts():
 
 
 def test_closure_antipodal_square_nine_faces():
-    fr = frames_fixed(1.0, [(1, 1)])[0]
+    fr = build_frames(1.0, 2, [(1, 1)])[0]
     V = vmap(0, {(0, 0): [0], (1, 1): [1]})
     U = closure(spanned_faces(fr, V))
     assert len(U) == 9
@@ -166,7 +167,7 @@ def test_closure_rejects_mixed_scales():
 
 
 def test_complex_accessors_and_order():
-    fr = frames_fixed(1.0, [(1, 1)])[0]
+    fr = build_frames(1.0, 2, [(1, 1)])[0]
     V = vmap(0, {(0, 0): [0], (1, 1): [1]})
     U = closure(spanned_faces(fr, V))
     assert U.dim == 2
@@ -242,7 +243,7 @@ def test_boundary_rejects_complex_not_closed():
 
 
 def test_cubical_map_collapsing_edge_lands_on_active_vertex():
-    frames = frames_fixed(1.0, [(1,)])
+    frames = build_frames(1.0, 1, [(1,)])
     P = PointCloud([0.1, 0.9])
     V0 = active_vertices(frames[0], P)
     U0 = closure(spanned_faces(frames[0], V0))
@@ -256,7 +257,7 @@ def test_cubical_map_collapsing_edge_lands_on_active_vertex():
 
 
 def _complexes_for(P, lam, signs):
-    frames = frames_fixed(lam, signs)
+    frames = build_frames(lam, P.d, signs)
     out = []
     for fr in frames:
         V = active_vertices(fr, P)
@@ -312,7 +313,7 @@ def test_small_diameter_subsets_share_a_face():
     rng = np.random.default_rng(37)
     for trial in range(30):
         d = int(rng.integers(1, 4))
-        fr = frames_fixed(1.0, [tuple(rng.choice((-1, 1), d))])[0]
+        fr = build_frames(1.0, d, [tuple(rng.choice((-1, 1), d))])[0]
         base = rng.uniform(-5, 5, d)
         Q = [base + rng.uniform(0, fr.alpha, d) * 0.999 for _ in range(4)]
         zs = [locate(fr, q).anchor for q in Q]
@@ -322,7 +323,7 @@ def test_small_diameter_subsets_share_a_face():
 
 
 def test_secondary_vertex_maps_into_next_complex():
-    frames = frames_fixed(1.0, [(1, 1)])
+    frames = build_frames(1.0, 2, [(1, 1)])
     P = PointCloud([[0.1, 0.1], [0.9, 0.9]])
     V0 = active_vertices(frames[0], P)
     U0 = closure(spanned_faces(frames[0], V0))

@@ -97,7 +97,8 @@ def test_bottleneck_infeasible_cases():
 def test_bottleneck_rejects_invalid_intervals():
     # a reversed bar once gave a distance below 1; a NaN one put a barcode
     # inf away from itself
-    for bad in ((2.0, 1.0), (-1.0, 2.0), (math.nan, 1.0), (0.0, math.nan)):
+    # a bar born at inf once cost 1 to delete, so it never showed
+    for bad in ((2.0, 1.0), (-1.0, 2.0), (math.nan, 1.0), (0.0, math.nan), (math.inf, math.inf)):
         with pytest.raises(ValueError):
             multiplicative_bottleneck(Barcode({0: [bad]}), Barcode())
         with pytest.raises(ValueError):

@@ -9,51 +9,36 @@ import pytest
 from ripsapprox.lattice import (
     MAX_DIM,
     Face,
-    ShiftSequence,
+    GridFrame,
     build_frames,
     face_map_g,
     face_vertices,
     facets,
     is_subface,
     locate,
+    shift_signs,
     subfaces,
     vertex_map_g,
     _FaceCodec,
 )
-
-from conftest import frames_fixed
 
 
 # --- shift sequences ---
 
 
 def test_shift_sequence_deterministic():
-    a = ShiftSequence(42, 5)
-    b = ShiftSequence(42, 5)
-    for s in range(6):
-        assert a.signs(s) == b.signs(s)
-        assert all(e in (-1, 1) for e in a.signs(s))
-    assert ShiftSequence(43, 5).signs(0) != a.signs(0) or \
-        ShiftSequence(43, 5).signs(1) != a.signs(1)
+    a = [shift_signs(42, 5, s) for s in range(6)]
+    assert a == [shift_signs(42, 5, s) for s in range(6)]
+    assert all(len(row) == 5 and set(row) <= {-1, 1} for row in a)
+    assert [shift_signs(43, 5, s) for s in range(2)] != a[:2]
 
 
 def test_shift_sequence_validation():
+    for d in (0, MAX_DIM + 1):
+        with pytest.raises(ValueError):
+            shift_signs(0, d, 0)
     with pytest.raises(ValueError):
-        ShiftSequence(0, 0)
-    with pytest.raises(ValueError):
-        ShiftSequence(0, MAX_DIM + 1)
-    with pytest.raises(ValueError):
-        ShiftSequence(0, 2).signs(-1)
-    with pytest.raises(ValueError):
-        ShiftSequence.fixed([(1, 0)])
-    with pytest.raises(ValueError):
-        ShiftSequence.fixed([(1,), (1, 1)])
-    with pytest.raises(ValueError):
-        ShiftSequence.fixed([])
-    sh = ShiftSequence.fixed([(1, -1)])
-    assert sh.signs(0) == (1, -1)
-    with pytest.raises(ValueError):
-        sh.signs(1)
+        shift_signs(0, 2, -1)
 
 
 def test_shift_signs_pinned():
@@ -64,7 +49,7 @@ def test_shift_signs_pinned():
     for seed in (0, 1, 42, 2 ** 63, 2 ** 64 - 1, 2 ** 64 + 5, -1, -2 ** 70):
         for d in (1, 2, 3, 6, 8, 32):
             for s in range(64):
-                h.update(("%r\n" % (ShiftSequence(seed, d).signs(s),)).encode())
+                h.update(("%r\n" % (shift_signs(seed, d, s),)).encode())
     assert h.hexdigest() == "5481d0235bc9d91845620710d4926ae32e11d62d04b01642fffa905f8748823f"
 
 
@@ -72,22 +57,22 @@ def test_shift_signs_pinned():
 
 
 def test_offset_recurrence_examples():
-    fr = frames_fixed(1.0, [(1, 1)])
+    fr = build_frames(1.0, 2, [(1, 1)])
     assert fr[0].offset == (0, 0)
     assert fr[1].offset == (1, 1)
 
-    fr = frames_fixed(1.0, [(-1,), (1,)])
+    fr = build_frames(1.0, 1, [(-1,), (1,)])
     assert [f.offset for f in fr] == [(0,), (-1,), (1,)]
 
 
 def test_frames_deterministic_from_seed():
-    sh1 = ShiftSequence(9, 3)
-    sh2 = ShiftSequence(9, 3)
-    assert build_frames(0.25, 4, 3, sh1) == build_frames(0.25, 4, 3, sh2)
+    frames = build_frames(0.25, 3, [shift_signs(9, 3, s) for s in range(4)])
+    assert len(frames) == 5
+    assert frames == build_frames(0.25, 3, [shift_signs(9, 3, s) for s in range(4)])
 
 
 def test_frame_geometry():
-    fr = frames_fixed(1.0, [(1, 1)])
+    fr = build_frames(1.0, 2, [(1, 1)])
     f0, f1 = fr
     assert f0.alpha == 1.0 and f1.alpha == 2.0
     assert f0.u == 0.5
@@ -98,31 +83,37 @@ def test_frame_geometry():
 
 
 def test_build_frames_validation():
-    sh = ShiftSequence(0, 2)
     for lam in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
-            build_frames(lam, 1, 2, sh)
-    with pytest.raises(ValueError):
-        build_frames(1.0, -1, 2, sh)
-    with pytest.raises(ValueError):
-        build_frames(1.0, 1, 3, sh)
+            build_frames(lam, 2, [(1, 1)])
+    for d in (0, MAX_DIM + 1):
+        with pytest.raises(ValueError):
+            build_frames(1.0, d, [])
+    # each sign row is a +-1 vector of length d
+    for rows in ([(1, 0)], [(1, 1), (1,)], [(1, 1, 1)], [(2, -1)], [(0.5, 1)]):
+        with pytest.raises(ValueError):
+            build_frames(1.0, 2, rows)
+    assert build_frames(1.0, 2, []) == [GridFrame(0, 1.0, (0, 0))]
+    # numpy sign rows give plain int offsets
+    offset = build_frames(1.0, 2, [np.array([1, -1])])[1].offset
+    assert offset == (1, -1) and all(type(o) is int for o in offset)
 
 
 # --- locate ---
 
 
 def test_locate_examples():
-    fr = frames_fixed(1.0, [(1, 1)])[0]
+    fr = build_frames(1.0, 2, [(1, 1)])[0]
     assert locate(fr, (0.3, -0.6)).anchor == (0, -1)
 
-    fr1 = frames_fixed(1.0, [(1,)])[0]
+    fr1 = build_frames(1.0, 1, [(1,)])[0]
     assert locate(fr1, (0.5,)).anchor == (1,)  # boundary goes up
     assert locate(fr1, (-0.5,)).anchor == (0,)
     assert locate(fr1, (2.0,)).anchor == (2,)  # a grid point locates to itself
 
 
 def test_locate_dimension_mismatch():
-    fr = frames_fixed(1.0, [(1, 1)])[0]
+    fr = build_frames(1.0, 2, [(1, 1)])[0]
     with pytest.raises(ValueError):
         locate(fr, (0.0,))
 
@@ -130,7 +121,7 @@ def test_locate_dimension_mismatch():
 def test_locate_halfopen_cells():
     rng = np.random.default_rng(3)
     for lam in (0.3, 1.0, 2.5):
-        frames = frames_fixed(lam, [tuple(rng.choice((-1, 1), 3)) for _ in range(3)])
+        frames = build_frames(lam, 3, [tuple(rng.choice((-1, 1), 3)) for _ in range(3)])
         for fr in frames:
             half = fr.alpha / 2.0
             for _ in range(200):
@@ -146,19 +137,19 @@ def test_locate_halfopen_cells():
 
 def test_vertex_map_examples():
     # lam=2, all-plus shift: the image of the origin sits at world (1, 1)
-    fr = frames_fixed(2.0, [(1, 1)])
+    fr = build_frames(2.0, 2, [(1, 1)])
     y = vertex_map_g(fr, 0, Face(0, (0, 0), 0))
     assert fr[1].world(y.anchor) == (1.0, 1.0)
 
     # lam=1, d=1, plus shift: world 0 maps to world 1/2
-    fr = frames_fixed(1.0, [(1,)])
+    fr = build_frames(1.0, 1, [(1,)])
     y = vertex_map_g(fr, 0, Face(0, (0,), 0))
     assert fr[1].world(y.anchor) == (0.5,)
 
 
 def test_vertex_map_moves_exactly_half_alpha():
     rng = np.random.default_rng(11)
-    frames = frames_fixed(1.0, [tuple(rng.choice((-1, 1), 4)) for _ in range(5)])
+    frames = build_frames(1.0, 4, [tuple(rng.choice((-1, 1), 4)) for _ in range(5)])
     for s in range(5):
         for _ in range(100):
             z = tuple(int(t) for t in rng.integers(-40, 40, 4))
@@ -172,7 +163,7 @@ def test_vertex_map_moves_exactly_half_alpha():
 def test_vertex_map_is_nearest_choice():
     # the competing grid point in each coordinate is 3*alpha_s/2 away
     rng = np.random.default_rng(12)
-    frames = frames_fixed(0.75, [tuple(rng.choice((-1, 1), 2)) for _ in range(4)])
+    frames = build_frames(0.75, 2, [tuple(rng.choice((-1, 1), 2)) for _ in range(4)])
     for s in range(4):
         step = frames[s + 1].step_u
         for _ in range(100):
@@ -189,7 +180,7 @@ def test_vertex_map_is_nearest_choice():
 
 
 def test_vertex_map_validation():
-    frames = frames_fixed(1.0, [(1,)])
+    frames = build_frames(1.0, 1, [(1,)])
     with pytest.raises(ValueError):
         vertex_map_g(frames, 1, Face(1, (0,), 0))  # no frame at s+1
     with pytest.raises(ValueError):
@@ -203,17 +194,17 @@ def test_vertex_map_validation():
 
 def test_face_map_collapse_by_shift_sign():
     edge = Face(0, (0,), 1)
-    plus = frames_fixed(1.0, [(1,)])
+    plus = build_frames(1.0, 1, [(1,)])
     img = face_map_g(plus, 0, edge)
     assert img.mask == 0 and img.dim == 0  # direction collapses
 
-    minus = frames_fixed(1.0, [(-1,)])
+    minus = build_frames(1.0, 1, [(-1,)])
     img = face_map_g(minus, 0, edge)
     assert img.mask == 1 and img.dim == 1  # direction survives
 
 
 def test_face_map_rejects_faces_of_another_dimension():
-    frames = frames_fixed(1.0, [(1, -1)])
+    frames = build_frames(1.0, 2, [(1, -1)])
     for f in (Face(0, (0, 0, 5), 0),  # zip would drop the third coordinate
               Face(0, (0,), 0),
               Face(0, (0, 0), 0b100)):  # an extent direction the grid lacks
@@ -225,7 +216,7 @@ def test_face_map_rejects_faces_of_another_dimension():
 
 def test_face_map_on_vertices_matches_vertex_map():
     rng = np.random.default_rng(5)
-    frames = frames_fixed(1.0, [tuple(rng.choice((-1, 1), 3)) for _ in range(3)])
+    frames = build_frames(1.0, 3, [tuple(rng.choice((-1, 1), 3)) for _ in range(3)])
     for s in range(3):
         for _ in range(50):
             z = tuple(int(t) for t in rng.integers(-20, 20, 3))
@@ -238,7 +229,7 @@ def test_face_map_on_vertices_matches_vertex_map():
 def test_face_map_is_vertexwise_span():
     # the image face is exactly the one spanned by the corner images
     rng = np.random.default_rng(6)
-    frames = frames_fixed(0.5, [tuple(rng.choice((-1, 1), 3)) for _ in range(4)])
+    frames = build_frames(0.5, 3, [tuple(rng.choice((-1, 1), 3)) for _ in range(4)])
     for s in range(4):
         for _ in range(200):
             anchor = tuple(int(t) for t in rng.integers(-20, 20, 3))
@@ -324,7 +315,7 @@ def test_face_vertices_subfaces_facets_counts():
             images = [Face(0, a, mask) for a in anchors for mask in every]
             for eps in itertools.product((-1, 1), repeat=d):
                 step = codec.step(eps)
-                frames = frames_fixed(1.0, [eps])
+                frames = build_frames(1.0, d, [eps])
                 for f in images:
                     assert codec.unpack(step(codec.pack(f)), 1) == face_map_g(frames, 0, f)
             with pytest.raises(ValueError):

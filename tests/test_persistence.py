@@ -80,19 +80,22 @@ def test_barcode_parse_errors():
         Barcode.parse("0 1\n")
     with pytest.raises(ValueError, match="line 2: "):
         Barcode.parse("0 0 1\nzero 1 2\n")
-    # a line ends at "\n" only, its numbers are plain ASCII decimals, and
-    # a bar's dimension is at least 0
-    for bad in ("0 0 1\x1c0 0 2\n", "0 1_0 2_0\n", "0 \u0661 2\n", "-1 1 2\n"):
+    # a line ends at "\n" only, its numbers are plain ASCII decimals with
+    # no control character between them but tab, and a bar's dimension is
+    # at least 0
+    for bad in ("0 0 1\x1c0 0 2\n", "0 1_0 2_0\n", "0 \u0661 2\n", "-1 1 2\n",
+                "0 0\x1c1\n", "0\x0b0 1\n", "0 0 1\x7f\n", "0 0 1\r"):
         with pytest.raises(ValueError, match="line 2: "):
             Barcode.parse("0 0 1\n" + bad)
     with pytest.raises(ValueError):
         Barcode().add(-1, 0.0, 1.0)
     assert Barcode.parse("0 0 1\r\n\n1 2 inf").to_text() == "0 0 1\n1 2 inf\n"
+    assert Barcode.parse("0\t0 1\n").to_text() == "0 0 1\n"
 
 
 def test_barcode_rejects_invalid_bars():
-    # NaN, reversed and negative bars, each named by its line
-    for lineno, bad in enumerate(("0 nan 1", "0 2 1", "0 -1 2"), start=1):
+    # NaN, reversed, negative and infinitely born bars, each named by its line
+    for lineno, bad in enumerate(("0 nan 1", "0 2 1", "0 -1 2", "0 inf inf"), start=1):
         with pytest.raises(ValueError, match="line %d: " % lineno):
             Barcode.parse("0 0 1\n" * (lineno - 1) + bad + "\n")
     with pytest.raises(ValueError):
@@ -100,6 +103,9 @@ def test_barcode_rejects_invalid_bars():
     with pytest.raises(ValueError):
         Barcode().add(1, 0.0, math.nan)
     assert Barcode({0: [(0.0, 0.0), (1.0, INF)]}).total() == 2
+    # scaling must not carry a finite birth to inf
+    with pytest.raises(ValueError):
+        Barcode({0: [(1e308, INF)]}).scaled(10.0)
 
 
 # --- Rips filtrations ---
@@ -264,6 +270,13 @@ def test_betti_square_subdivision_is_acyclic():
 
 def test_betti_two_isolated_vertices():
     assert betti([(0,), (1,)]) == [1]
+
+
+def test_betti_rejects_an_empty_simplex():
+    with pytest.raises(ValueError, match="at least one vertex"):
+        betti([()])
+    with pytest.raises(ValueError, match="at least one vertex"):
+        betti([(0,), ()])
 
 
 def test_betti_hollow_square_cubical():

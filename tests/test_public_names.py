@@ -55,3 +55,13 @@ def test_perfbench_trace_targets_resolve():
         for part in qualname.split("."):
             obj = getattr(obj, part)
         assert callable(obj), target
+
+
+def test_perfbench_wrapper_aliases_resolve():
+    # perfbench/test_perfbench.py::test_wrappers_restore_the_original_functions
+    # reads these two aliases; the trace targets above do not name them,
+    # so deleting one would pass this suite and break perfbench's own
+    from ripsapprox import cli, cubical, persistence, tower
+
+    assert cli.reduce_filtration is persistence.reduce
+    assert tower.spanned_faces is cubical.spanned_faces

@@ -174,10 +174,12 @@ def test_parse_splits_lines_on_newline_only():
     for sep in ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"):
         with pytest.raises(MalformedStream, match="^line 2: "):
             EventStream.parse(head + "S 1" + sep + "I 0 0\n")
-    # within a line they are whitespace, as a space is; so a CRLF stream parses
+    # a control character within a line is refused, tab and the "\r" of a
+    # CRLF line aside; so a CRLF stream parses
     want = EventStream.parse(head + "S 1\nI 0 0\n")
     assert want.events == [Scale(1.0), Include(0, 0, ())]
-    assert EventStream.parse(head + "S 1\n\x0cI 0 0\n") == want
+    with pytest.raises(MalformedStream, match="^line 3: "):
+        EventStream.parse(head + "S 1\n\x0cI 0 0\n")
     assert EventStream.parse((head + "S 1\nI 0 0\n").replace("\n", "\r\n")) == want
     with pytest.raises(MalformedStream, match="^line 3: empty"):
         EventStream.parse(head + "S 1\n\nI 0 0\n")
