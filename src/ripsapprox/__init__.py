@@ -9,7 +9,7 @@ filtration, and certifies the multiplicative approximation quality.
 from .geometry import PointCloud, distance, closest_pair, diameter, spread
 from .lattice import Face, GridFrame, build_frames, shift_signs, locate, vertex_map_g, face_map_g
 from .cubical import CubicalComplex, active_vertices, is_spanned, spanned_faces, closure
-from .barycentric import FlagSimplex, SimplicialComplex, build_order_complex, simplicial_image
+from .barycentric import FlagSimplex, build_order_complex, simplicial_image
 from .tower import (
     Scale, Include, Contract, EventStream, Snapshot,
     GuardrailExceeded, MalformedStream,

@@ -71,7 +71,9 @@ class Barcode:
         out = Barcode()
         for p, lst in self._ivals.items():
             for b, d in lst:
-                out.add(p, b * factor, d if d == INF else d * factor)
+                if d < INF and d * factor == INF:
+                    raise ValueError("scaling carries the finite death %r to inf" % (d,))
+                out.add(p, b * factor, d * factor)
         return out
 
     def to_text(self) -> str:
@@ -447,24 +449,25 @@ def _cycles_and_boundaries(columns: List[List[int]], top: int):
 def betti(obj) -> List[int]:
     """Reduced Betti numbers per dimension, by cycle and boundary ranks.
 
-    Accepts a CubicalComplex, a replayed Snapshot, or any iterable of
-    simplex vertex-tuples. A CubicalComplex that is not closed under
-    facets raises MalformedStream, from `_cubical_columns`.
+    Accepts a CubicalComplex, a Snapshot of either mode, or any iterable
+    of simplex vertex-tuples (vertices of any one sortable, hashable
+    kind, such as the face chains of `build_order_complex`). A cubical
+    complex or snapshot that is not closed under facets raises
+    MalformedStream, from `_cubical_columns`.
     """
-    if isinstance(obj, CubicalComplex):
-        # each face as the sorted ids of its corners, the 0-faces numbered
-        # first; a corner outside the complex gets a fresh id, so the cells
-        # around it miss a facet
-        ids = {v: i for i, v in enumerate(obj.faces_of_dim(0))}
-        cells = [{tuple(sorted(ids.setdefault(v, len(ids)) for v in face_vertices(f))): j
-                  for j, f in enumerate(obj.faces_of_dim(q))} for q in range(obj.dim + 1)]
-        columns = _cubical_columns(cells, obj.dim) if cells else []
-    else:
-        if isinstance(obj, Snapshot):
-            if obj.mode != "simplicial":
-                raise ValueError("betti of a snapshot needs a simplicial stream")
+    try:
+        if isinstance(obj, CubicalComplex):
+            # each face as the sorted ids of its corners, the 0-faces numbered
+            # first; a corner outside the complex gets a fresh id, so the cells
+            # around it miss a facet
+            ids = {v: i for i, v in enumerate(obj.faces_of_dim(0))}
+            cells = [{tuple(sorted(ids.setdefault(v, len(ids)) for v in face_vertices(f))): j
+                      for j, f in enumerate(obj.faces_of_dim(q))} for q in range(obj.dim + 1)]
+            columns = _cubical_columns(cells, obj.dim) if cells else []
+        elif isinstance(obj, Snapshot):
             # up to the highest non-empty dimension, as for a tuple iterable
-            cells = obj.cells[:max((q + 1 for q, c in enumerate(obj.cells) if c), default=0)]
+            top = max((q for q, c in enumerate(obj.cells) if c), default=-1)
+            columns = _snapshot_columns(obj, top) if top >= 0 else []
         else:
             simplices = [tuple(sorted(t)) for t in obj]
             if () in simplices:
@@ -474,10 +477,9 @@ def betti(obj) -> List[int]:
                 while len(cells) < len(t):
                     cells.append({})
                 cells[-1][t] = len(cells[-1])
-        try:
             columns = _simplicial_columns(cells, len(cells) - 1) if cells else []
-        except KeyError as e:
-            raise ValueError("facet %r missing from the complex" % (e.args[0],))
+    except KeyError as e:
+        raise ValueError("facet %r missing from the complex" % (e.args[0],))
     cycles, boundaries = _cycles_and_boundaries(columns, len(columns) - 1)
     return [len(z) - len(b) for z, b in zip(cycles, boundaries)]
 

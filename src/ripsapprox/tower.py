@@ -406,6 +406,7 @@ def build_cubical_tower(P: PointCloud, seed: int, *, metric="linf", lam=None,
     return _build_tower(P, 0, seed, metric, "cubical", lam, max_scales, guard_cells, audit)
 
 
+@dataclass(repr=False, eq=False)
 class Snapshot:
     """The complex after one scale group of a stream (the scale_ordinal-th).
 
@@ -416,13 +417,11 @@ class Snapshot:
     the cell collapsed.
     """
 
-    def __init__(self, mode: str, alpha: Optional[float], scale_ordinal: int,
-                 cells: List[Dict[Tuple[int, ...], int]], steps: List[List[Optional[int]]]):
-        self.mode = mode
-        self.alpha = alpha
-        self.scale_ordinal = scale_ordinal
-        self.cells = cells
-        self.steps = steps
+    mode: str
+    alpha: Optional[float]
+    scale_ordinal: int
+    cells: List[Dict[Tuple[int, ...], int]]
+    steps: List[List[Optional[int]]]
 
 
 def _find(parent: Dict[int, int], x: int) -> int:

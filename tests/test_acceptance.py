@@ -300,14 +300,12 @@ def test_criterion_7_reconstruction_and_acyclicity(instance_corpus, capsys):
             if sc.id_of_face.keys() != set(U.faces()):
                 mismatches += 1
             else:
-                X = build_order_complex(U, stream.k)
-                expected = {frozenset(sc.id_of_face[X.vertex_faces[v]] for v in sigma)
-                            for sigma in X.all_simplices()}
+                expected = {frozenset(sc.id_of_face[f] for f in chain)
+                            for chain in build_order_complex(U, stream.k)}
                 if {frozenset(c) for q in snap.cells for c in q} != expected:
                     mismatches += 1
             for f in spanned:
-                sub = build_order_complex(closure([f]), max(f.dim, 1))
-                if any(betti(sub.all_simplices())):
+                if any(betti(build_order_complex(closure([f]), max(f.dim, 1)))):
                     cyclic += 1
                 faces_checked += 1
         # the walk ends with the audit's last scale that has events
@@ -324,7 +322,7 @@ def test_criterion_8_cubical_simplicial_betti(instance_corpus, capsys):
     for P, stream, _ in instance_corpus:
         for _, U in definition_complexes(P, stream):
             bu = betti(U)
-            bx = betti(build_order_complex(U, max(U.dim, 1)).all_simplices())
+            bx = betti(build_order_complex(U, max(U.dim, 1)))
             width = max(len(bu), len(bx))
             bu = bu + [0] * (width - len(bu))
             bx = bx + [0] * (width - len(bx))

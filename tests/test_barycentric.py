@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -39,75 +40,59 @@ def test_flag_simplex_validation():
 # --- order complexes ---
 
 
+def lengths(chains):
+    return Counter(map(len, chains))
+
+
 def test_order_complex_of_square():
     X = build_order_complex(square_complex(), 2)
-    assert len(X.vertex_faces) == 9
-    assert X.n_simplices(0) == 9
-    assert X.n_simplices(1) == 16
-    assert X.n_simplices(2) == 8
-    assert X.dim == 2
+    assert lengths(X) == {1: 9, 2: 16, 3: 8}
 
 
 def test_order_complex_cap():
-    X = build_order_complex(square_complex(), 1)
-    assert X.n_simplices(1) == 16 and X.n_simplices(2) == 0
-    X0 = build_order_complex(square_complex(), 0)
-    assert X0.n_simplices(0) == 9 and X0.dim == 0
+    assert lengths(build_order_complex(square_complex(), 1)) == {1: 9, 2: 16}
+    assert lengths(build_order_complex(square_complex(), 0)) == {1: 9}
     with pytest.raises(ValueError):
         build_order_complex(square_complex(), -1)
 
 
 def test_order_complex_edge_with_endpoints():
     U = closure({Face(0, (0,), 1), Face(0, (0,), 0), Face(0, (1,), 0)})
-    X = build_order_complex(U, 2)
-    assert X.n_simplices(0) == 3
-    assert X.n_simplices(1) == 2  # endpoint-in-edge chains; endpoints incomparable
-    assert X.n_simplices(2) == 0
+    # endpoint-in-edge chains; endpoints incomparable
+    assert lengths(build_order_complex(U, 2)) == {1: 3, 2: 2}
 
 
 def test_order_complex_single_vertex():
     U = closure({Face(0, (4,), 0)})
-    X = build_order_complex(U, 3)
-    assert X.n_simplices(0) == 1 and X.dim == 0
+    assert build_order_complex(U, 3) == [(Face(0, (4,), 0),)]
 
 
-def test_vertex_ids_follow_canonical_face_order():
+def test_chains_follow_canonical_face_order():
     U = square_complex()
     X = build_order_complex(U, 2)
-    assert X.vertex_faces == U.faces()
-    for r in range(1, 3):
-        for t in X.simplices(r):
-            assert list(t) == sorted(t)  # ids grow along chains
-            dims = [X.vertex_faces[i].dim for i in t]
-            assert dims == sorted(dims) and len(set(dims)) == len(dims)
+    assert [len(c) for c in X] == sorted(len(c) for c in X)  # shortest first
+    assert [c for c in X if len(c) == 1] == [(f,) for f in U.faces()]
+    for c in X:
+        dims = [f.dim for f in c]
+        assert dims == sorted(set(dims))  # dimensions grow along chains
+        assert list(c) == sorted(c, key=lambda f: (f.dim, f.anchor, f.mask))
 
 
 def test_closed_under_subchains():
     X = build_order_complex(square_complex(), 2)
-    for r in range(1, 3):
-        for t in X.simplices(r):
-            for sub in itertools.combinations(t, r):
-                assert X.has_simplex(sub)
+    chains = set(X)
+    for c in X:
+        if len(c) > 1:
+            assert all(sub in chains for sub in itertools.combinations(c, len(c) - 1))
 
 
 def test_flag_property_on_square():
     # pairwise-comparable triples are exactly the 2-simplices
-    X = build_order_complex(square_complex(), 2)
-    one = {t for t in X.simplices(1)}
-    two = set(X.simplices(2))
-    n = len(X.vertex_faces)
-    for t in itertools.combinations(range(n), 3):
-        pairwise = all(tuple(sorted(e)) in one for e in itertools.combinations(t, 2))
-        assert pairwise == (t in two)
-
-
-def test_flag_accessor_roundtrip():
     U = square_complex()
-    X = build_order_complex(U, 2)
-    t = X.simplices(2)[0]
-    fl = X.flag(t)
-    assert isinstance(fl, FlagSimplex)
-    assert tuple(X.id_of_face[f] for f in fl) == t
+    chains = set(build_order_complex(U, 2))
+    for t in itertools.combinations(U.faces(), 3):
+        pairwise = all(e in chains for e in itertools.combinations(t, 2))
+        assert pairwise == (t in chains)
 
 
 # --- simplicial images ---
@@ -149,13 +134,10 @@ def test_images_are_simplices_of_next_complex():
     for seed in range(8):
         frames, levels = _towers(400 + seed, 6, 2, 3)
         for s in range(3):
-            X = build_order_complex(levels[s], 2)
-            X_next = build_order_complex(levels[s + 1], 2)
-            for r in range(3):
-                for t in X.simplices(r):
-                    img = simplicial_image(frames, s, X.flag(t))
-                    ids = tuple(X_next.id_of_face[f] for f in img)
-                    assert X_next.has_simplex(ids)
+            next_chains = set(build_order_complex(levels[s + 1], 2))
+            for chain in build_order_complex(levels[s], 2):
+                img = simplicial_image(frames, s, FlagSimplex(chain))
+                assert img.faces in next_chains
 
 
 def test_image_functorial_across_scales():
@@ -164,11 +146,12 @@ def test_image_functorial_across_scales():
 
     for seed in range(5):
         frames, levels = _towers(500 + seed, 5, 2, 3)
-        X = build_order_complex(levels[0], 2)
-        for t in X.simplices(2) + X.simplices(1):
-            chained = simplicial_image(frames, 1, simplicial_image(frames, 0, X.flag(t)))
+        for chain in build_order_complex(levels[0], 2):
+            if len(chain) == 1:
+                continue
+            chained = simplicial_image(frames, 1, simplicial_image(frames, 0, FlagSimplex(chain)))
             twice = []
-            for f in X.flag(t):
+            for f in chain:
                 g = face_map_g(frames, 1, face_map_g(frames, 0, f))
                 if not twice or twice[-1] != g:
                     twice.append(g)

@@ -106,6 +106,9 @@ def test_barcode_rejects_invalid_bars():
     # scaling must not carry a finite birth to inf
     with pytest.raises(ValueError):
         Barcode({0: [(1e308, INF)]}).scaled(10.0)
+    # nor a finite death
+    with pytest.raises(ValueError, match="finite death"):
+        Barcode({0: [(1.0, 1e308)]}).scaled(10.0)
 
 
 # --- Rips filtrations ---
@@ -264,8 +267,7 @@ def test_rips_barcode_guard_before_distances(monkeypatch):
 def test_betti_square_subdivision_is_acyclic():
     spanned = {Face(0, (0, 0), 0b11), Face(0, (0, 0), 0), Face(0, (1, 1), 0)}
     U = closure(spanned)
-    X = build_order_complex(U, 2)
-    assert not any(betti(X.all_simplices()))
+    assert not any(betti(build_order_complex(U, 2)))
 
 
 def test_betti_two_isolated_vertices():
@@ -314,9 +316,22 @@ def test_betti_snapshot_paths():
             direct = betti([c for q in snap.cells for c in q])
             assert betti(snap) == direct, (k, snap.scale_ordinal)
 
-    cstream = build_cubical_tower(P, seed=3)
-    with pytest.raises(ValueError):
-        betti(replay(cstream))
+    # the cubical tower ends in one cube, reduced-acyclic
+    assert not any(betti(replay(build_cubical_tower(P, seed=3))))
+
+
+def test_betti_cubical_snapshots_match_the_flag_tower():
+    # the flag tower with k = d is the barycentric subdivision of the
+    # cubical tower, scale by scale
+    for d, seed in itertools.product((1, 2, 3), range(10)):
+        P = random_cloud(4000 + 10 * d + seed, 12, d)
+        cubical = list(snapshots(build_cubical_tower(P, seed=seed)))
+        flag = list(snapshots(build_simplicial_tower(P, d, seed=seed)))
+        assert [c.alpha for c in cubical] == [f.alpha for f in flag]
+        for c, f in zip(cubical, flag):
+            bc, bf = betti(c), betti(f)
+            width = max(len(bc), len(bf))
+            assert bc + [0] * (width - len(bc)) == bf + [0] * (width - len(bf)), (d, seed, c.alpha)
 
 
 def _essential_counts(cells, top):
