@@ -316,7 +316,7 @@ def test_betti_snapshot_paths():
             direct = betti([c for q in snap.cells for c in q])
             assert betti(snap) == direct, (k, snap.scale_ordinal)
 
-    # the cubical tower ends in one cube, reduced-acyclic
+    # the last complex of the cubical tower, here one edge, is reduced-acyclic
     assert not any(betti(replay(build_cubical_tower(P, seed=3))))
 
 
