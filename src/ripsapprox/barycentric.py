@@ -9,9 +9,8 @@ of its geometric realization looks like combinatorially.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
-from .cubical import CubicalComplex
 from .lattice import Face, face_map_g, is_subface, subfaces
 
 __all__ = [
@@ -50,16 +49,17 @@ class FlagSimplex:
         return len(self.faces)
 
 
-def build_order_complex(U: CubicalComplex, k: int) -> List[Tuple[Face, ...]]:
-    """All strict chains of length <= k+1 in the face poset of U.
+def build_order_complex(U: Iterable[Face], k: int) -> List[Tuple[Face, ...]]:
+    """All strict chains of length <= k+1 in the face poset of U, a closed
+    cubical complex given as any iterable of its faces.
 
     Each chain is a tuple of faces in canonical (dim, anchor, mask)
-    order. Chains come shortest first, the 1-chains in U's face order,
-    and each longer chain after the ones that its prefix precedes.
+    order. Chains come shortest first, the 1-chains in canonical face
+    order, and each longer chain after the ones that its prefix precedes.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    faces = U.faces()
+    faces = sorted(set(U), key=lambda f: (f.dim, f.anchor, f.mask))
     # g runs in canonical order, so every supers list comes out sorted
     supers: Dict[Face, List[Face]] = {f: [] for f in faces}
     for g in faces:
@@ -68,8 +68,8 @@ def build_order_complex(U: CubicalComplex, k: int) -> List[Tuple[Face, ...]]:
 
     chains = [(f,) for f in faces]
     out = list(chains)
-    # a chain of U's faces has at most U.dim + 1 of them
-    for _ in range(min(k, U.dim)):
+    # a chain of U's faces has at most one face per dimension
+    for _ in range(min(k, faces[-1].dim if faces else -1)):
         chains = [c + (g,) for c in chains for g in supers[c[-1]]]
         out.extend(chains)
     return out

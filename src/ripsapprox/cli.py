@@ -161,8 +161,7 @@ def cmd_compare(args) -> int:
     # the exact side's count first: a compare it refuses exits before the tower is built
     _rips_size(P.n, k, args.guard_cells)
     # the cubical tower: n*2^O(d) cells, and the flag tower's barcode
-    stream = build_cubical_tower(P, seed, metric=args.metric, lam=args.lam,
-                                 max_scales=args.max_scales, guard_cells=args.guard_cells)
+    stream = build_cubical_tower(P, seed, metric=args.metric, guard_cells=args.guard_cells)
     tbc = tower_barcode(stream, k)
     rbc = rips_barcode(P, args.metric, k, max_simplices=args.guard_cells)
     c_claim = _claimed_factor(args.metric, P.d)
@@ -321,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("compare", help="tower vs exact Rips approximation check")
     sp.add_argument("points")
-    _add_common(sp, ladder=True)
+    _add_common(sp)
     sp.set_defaults(func=cmd_compare)
 
     sp = sub.add_parser("stats", help="audit a stream against the size bounds")

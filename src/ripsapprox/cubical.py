@@ -6,12 +6,13 @@ A face is spanned (active) when its active vertices are nonempty and not
 contained in any facet, i.e. every extent direction sees two active
 vertices that differ there. Secondary faces are the remaining faces of
 active faces; active + secondary faces form the closed cubical complex
-at that scale.
+at that scale. A cubical complex is a plain set of `Face`s that holds
+every face of each of its faces; `closure` returns one.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set
+from typing import Dict, Iterable, Set
 
 from .geometry import PointCloud
 from .lattice import (
@@ -27,7 +28,6 @@ from .lattice import (
 )
 
 __all__ = [
-    "CubicalComplex",
     "active_vertices",
     "is_spanned",
     "spanned_faces",
@@ -123,53 +123,6 @@ def _spanned(V: Set[int], codec: _FaceCodec) -> Set[int]:
     return out
 
 
-class CubicalComplex:
-    """A face-closed set of elementary cubes. The faces in `active` (the
-    spanned ones) are active; every other face is secondary."""
-
-    def __init__(self, s: int, faces: Iterable[Face], active: Iterable[Face]):
-        self.s = s
-        # face -> whether it is active
-        self._active = dict.fromkeys(faces, False)
-        n = len(self._active)
-        self._active.update(dict.fromkeys(active, True))
-        if len(self._active) != n:
-            raise ValueError("active faces outside the complex")
-        self._order = sorted(self._active, key=lambda f: (f.dim, f.anchor, f.mask))
-
-    @property
-    def dim(self) -> int:
-        return self._order[-1].dim if self._order else -1
-
-    def __contains__(self, f: Face) -> bool:
-        return f in self._active
-
-    def __len__(self) -> int:
-        return len(self._active)
-
-    def faces(self) -> List[Face]:
-        """All faces in canonical (dim, anchor, mask) order."""
-        return list(self._order)
-
-    def faces_of_dim(self, p: int) -> List[Face]:
-        return [f for f in self._order if f.dim == p]
-
-    def active_faces(self) -> List[Face]:
-        return [f for f in self._order if self._active[f]]
-
-    def secondary_faces(self) -> List[Face]:
-        return [f for f in self._order if not self._active[f]]
-
-    def is_active(self, f: Face) -> bool:
-        return self._active[f]
-
-    def verify_closed(self) -> None:
-        for f in self._active:
-            for g in subfaces(f):
-                if g not in self._active:
-                    raise AssertionError("complex not closed: %r misses %r" % (f, g))
-
-
 def _close(spanned: Set[int], codec: _FaceCodec) -> Dict[int, Set[int]]:
     """The closure of a set of packed faces, as mask -> set of keys.
 
@@ -190,13 +143,12 @@ def _close(spanned: Set[int], codec: _FaceCodec) -> Dict[int, Set[int]]:
     return by_mask
 
 
-def closure(spanned: Iterable[Face]) -> CubicalComplex:
+def closure(spanned: Iterable[Face]) -> Set[Face]:
     """Close a spanned-face set downward: the union of the subfaces of the
-    spanned faces; the added faces are secondary. This is the definition;
-    the tower build runs `_close` on packed keys instead."""
+    spanned faces. The spanned faces are the active ones, the added faces
+    are secondary. This is the definition; the tower build runs `_close`
+    on packed keys instead."""
     spanned = set(spanned)
-    scales = {f.s for f in spanned}
-    if len(scales) > 1:
+    if len({f.s for f in spanned}) > 1:
         raise ValueError("faces from multiple scales")
-    s = scales.pop() if scales else 0
-    return CubicalComplex(s, {g for f in spanned for g in subfaces(f)}, spanned)
+    return {g for f in spanned for g in subfaces(f)}

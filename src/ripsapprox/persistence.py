@@ -18,9 +18,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .cubical import CubicalComplex
 from .geometry import PointCloud
-from .lattice import face_vertices
+from .lattice import Face, face_vertices
 from .tower import (EventStream, GuardrailExceeded, Include, MalformedStream, Scale, Snapshot,
                     _find, _fmt_g17, _text_lines, replay, snapshots)
 
@@ -449,25 +448,30 @@ def _cycles_and_boundaries(columns: List[List[int]], top: int):
 def betti(obj) -> List[int]:
     """Reduced Betti numbers per dimension, by cycle and boundary ranks.
 
-    Accepts a CubicalComplex, a Snapshot of either mode, or any iterable
-    of simplex vertex-tuples (vertices of any one sortable, hashable
-    kind, such as the face chains of `build_order_complex`). A cubical
-    complex or snapshot that is not closed under facets raises
+    Accepts a Snapshot of either mode, or an iterable. An iterable whose
+    items are all `Face`s is a cubical complex (such as a `closure`);
+    any other is of simplex vertex-tuples (vertices of any one sortable,
+    hashable kind, such as the face chains of `build_order_complex`). A
+    cubical complex or snapshot that is not closed under facets raises
     MalformedStream, from `_cubical_columns`.
     """
     try:
-        if isinstance(obj, CubicalComplex):
-            # each face as the sorted ids of its corners, the 0-faces numbered
-            # first; a corner outside the complex gets a fresh id, so the cells
-            # around it miss a facet
-            ids = {v: i for i, v in enumerate(obj.faces_of_dim(0))}
-            cells = [{tuple(sorted(ids.setdefault(v, len(ids)) for v in face_vertices(f))): j
-                      for j, f in enumerate(obj.faces_of_dim(q))} for q in range(obj.dim + 1)]
-            columns = _cubical_columns(cells, obj.dim) if cells else []
-        elif isinstance(obj, Snapshot):
+        if isinstance(obj, Snapshot):
             # up to the highest non-empty dimension, as for a tuple iterable
             top = max((q for q, c in enumerate(obj.cells) if c), default=-1)
             columns = _snapshot_columns(obj, top) if top >= 0 else []
+        elif (obj := list(obj)) and all(isinstance(f, Face) for f in obj):
+            # each face as the sorted ids of its corners, the 0-faces numbered
+            # first; a corner outside the complex gets a fresh id, so the cells
+            # around it miss a facet
+            faces = sorted(set(obj), key=lambda f: (f.dim, f.anchor, f.mask))
+            top = faces[-1].dim
+            ids = {v: i for i, v in enumerate(f for f in faces if f.dim == 0)}
+            cells = [{} for _ in range(top + 1)]
+            for f in faces:
+                cell = cells[f.dim]
+                cell[tuple(sorted(ids.setdefault(v, len(ids)) for v in face_vertices(f)))] = len(cell)
+            columns = _cubical_columns(cells, top)
         else:
             simplices = [tuple(sorted(t)) for t in obj]
             if () in simplices:

@@ -440,7 +440,8 @@ def snapshots(stream: EventStream) -> Iterator[Snapshot]:
     positive or that decrease, cells of dimension outside
     0..`stream.top_dim`, and simplices included without their facets.
     Cubical facets are checked where a snapshot's cubical cells are read,
-    by `persistence._cubical_columns` (`tower_barcode` and `stats`).
+    by `persistence._cubical_columns` (`betti`, `tower_barcode` and
+    `stats`).
     """
     parent: Dict[int, int] = {}
     dim_of_id: Dict[int, int] = {}

@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import Counter
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 
 from ripsapprox.barycentric import FlagSimplex, build_order_complex, simplicial_image
 from ripsapprox.cubical import active_vertices, closure, spanned_faces
-from ripsapprox.lattice import Face, build_frames
+from ripsapprox.lattice import Face, build_frames, subfaces
+from ripsapprox.persistence import betti
 
 from conftest import random_cloud
 
@@ -15,6 +17,10 @@ def square_complex():
     # one active square with two active antipodal corners, 9 faces total
     spanned = {Face(0, (0, 0), 0b11), Face(0, (0, 0), 0), Face(0, (1, 1), 0)}
     return closure(spanned)
+
+
+def canonical(U):
+    return sorted(U, key=lambda f: (f.dim, f.anchor, f.mask))
 
 
 # --- flags ---
@@ -71,7 +77,7 @@ def test_chains_follow_canonical_face_order():
     U = square_complex()
     X = build_order_complex(U, 2)
     assert [len(c) for c in X] == sorted(len(c) for c in X)  # shortest first
-    assert [c for c in X if len(c) == 1] == [(f,) for f in U.faces()]
+    assert [c for c in X if len(c) == 1] == [(f,) for f in canonical(U)]
     for c in X:
         dims = [f.dim for f in c]
         assert dims == sorted(set(dims))  # dimensions grow along chains
@@ -90,9 +96,36 @@ def test_flag_property_on_square():
     # pairwise-comparable triples are exactly the 2-simplices
     U = square_complex()
     chains = set(build_order_complex(U, 2))
-    for t in itertools.combinations(U.faces(), 3):
+    for t in itertools.combinations(canonical(U), 3):
         pairwise = all(e in chains for e in itertools.combinations(t, 2))
         assert pairwise == (t in chains)
+
+
+# fixed cube sets as (anchor, mask) pairs at d = 1-3, with the reduced
+# Betti numbers of their closures
+CUBE_SETS = [
+    ([((0,), 1), ((1,), 1)], [0, 0]),                                   # a path
+    ([((0,), 0), ((2,), 0)], [1]),                                      # two points
+    ([((0, 0), 0b01), ((0, 1), 0b01), ((0, 0), 0b10), ((1, 0), 0b10)], [0, 1]),  # a circle
+    ([((0, 0), 0b11), ((2, 2), 0b01)], [1, 0, 0]),                      # a square and an edge
+    ([((0, 0, 0), m) for m in (0b011, 0b101, 0b110)]
+     + [((0, 0, 1), 0b011), ((0, 1, 0), 0b101), ((1, 0, 0), 0b110)], [0, 0, 1]),  # a sphere
+    ([((0, 0, 0), 0b111), ((1, 1, 1), 0b111)], [0, 0, 0, 0]),           # two cubes on a corner
+]
+
+
+@pytest.mark.parametrize("cubes,expected", CUBE_SETS)
+def test_face_sets_read_the_same_in_any_order(cubes, expected):
+    U = closure({Face(0, anchor, mask) for anchor, mask in cubes})
+    assert U == {g for anchor, mask in cubes for g in subfaces(Face(0, anchor, mask))}
+    shuffled = list(U)
+    random.Random(len(cubes)).shuffle(shuffled)
+    orders = [U, canonical(U)[::-1], shuffled]
+    for k in range(4):
+        chains = build_order_complex(U, k)
+        assert all(build_order_complex(form, k) == chains for form in orders)
+    assert all(betti(form) == expected for form in orders)
+    assert betti(iter(shuffled)) == expected
 
 
 # --- simplicial images ---

@@ -95,6 +95,11 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["tower"])  # missing positional
     assert exc.value.code == 2
+    # compare always builds the ladder it derives
+    for extra in (["--lambda", "0.5"], ["--max-scales", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "points.txt", *extra])
+        assert exc.value.code == 2
 
 
 # --- seed resolution ---

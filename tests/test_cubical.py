@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ripsapprox.cubical import (
-    CubicalComplex,
     active_vertices,
     closure,
     incident_faces,
@@ -21,6 +20,7 @@ from ripsapprox.lattice import (
     face_map_g,
     face_vertices,
     locate,
+    subfaces,
     vertex_map_g,
     _FaceCodec,
 )
@@ -141,24 +141,23 @@ def test_incident_faces_counts():
 def test_closure_antipodal_square_nine_faces():
     fr = build_frames(1.0, 2, [(1, 1)])[0]
     V = vmap(0, {(0, 0): [0], (1, 1): [1]})
-    U = closure(spanned_faces(fr, V))
+    active = spanned_faces(fr, V)
+    U = closure(active)
     assert len(U) == 9
-    active = U.active_faces()
-    secondary = U.secondary_faces()
+    secondary = U - active
     assert len(active) == 3 and len(secondary) == 6
     assert sum(1 for f in active if f.dim == 2) == 1
     assert sum(1 for f in active if f.dim == 0) == 2
     assert all(f.dim in (0, 1) for f in secondary)
     assert sum(1 for f in secondary if f.dim == 1) == 4
     assert sum(1 for f in secondary if f.dim == 0) == 2
-    U.verify_closed()
+    assert all(g in U for f in U for g in subfaces(f))
 
 
 def test_closure_all_active_edge():
     spanned = {Face(0, (0,), 1), Face(0, (0,), 0), Face(0, (1,), 0)}
     U = closure(spanned)
-    assert len(U) == 3
-    assert len(U.active_faces()) == 3 and not U.secondary_faces()
+    assert U == spanned
 
 
 def test_closure_rejects_mixed_scales():
@@ -167,30 +166,21 @@ def test_closure_rejects_mixed_scales():
 
 
 def test_complex_accessors_and_order():
+    # a complex is a plain face set: its faces, dimension and active faces
+    # are comprehensions over it and the spanned set
     fr = build_frames(1.0, 2, [(1, 1)])[0]
     V = vmap(0, {(0, 0): [0], (1, 1): [1]})
-    U = closure(spanned_faces(fr, V))
-    assert U.dim == 2
-    faces = U.faces()
-    keys = [(f.dim, f.anchor, f.mask) for f in faces]
-    assert keys == sorted(keys)
-    assert len(U.faces_of_dim(1)) == 4
+    spanned = spanned_faces(fr, V)
+    U = closure(spanned)
+    assert isinstance(U, set)
+    faces = sorted(U, key=lambda f: (f.dim, f.anchor, f.mask))
+    assert [f.dim for f in faces] == [0] * 4 + [1] * 4 + [2]
+    assert faces[:4] == [Face(0, z, 0) for z in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    assert len([f for f in U if f.dim == 1]) == 4
     assert Face(0, (0, 0), 0b11) in U
     assert Face(0, (5, 5), 0) not in U
-    assert U.is_active(Face(0, (0, 0), 0b11))
-    assert not U.is_active(Face(0, (1, 0), 0))
-
-
-def test_verify_closed_catches_gaps():
-    edge = Face(0, (0,), 1)
-    broken = CubicalComplex(0, {edge}, {edge})
-    with pytest.raises(AssertionError):
-        broken.verify_closed()
-
-
-def test_complex_rejects_active_faces_outside_it():
-    with pytest.raises(ValueError):
-        CubicalComplex(0, {Face(0, (0,), 0)}, {Face(0, (1,), 0)})
+    assert Face(0, (0, 0), 0b11) in spanned
+    assert Face(0, (1, 0), 0) in U - spanned
 
 
 # --- boundary operator: persistence._cubical_columns on corner ids ---
@@ -199,9 +189,11 @@ def test_complex_rejects_active_faces_outside_it():
 def corner_cells(U):
     """U's faces, per dimension, as sorted corner-id tuples mapped to their
     bits: the cell form of a stream snapshot."""
-    ids = {v: i for i, v in enumerate(U.faces_of_dim(0))}
+    faces = sorted(U, key=lambda f: (f.dim, f.anchor, f.mask))
+    ids = {v: i for i, v in enumerate(f for f in faces if f.dim == 0)}
     return [{tuple(sorted(ids[v] for v in face_vertices(f))): j
-             for j, f in enumerate(U.faces_of_dim(q))} for q in range(U.dim + 1)]
+             for j, f in enumerate(f for f in faces if f.dim == q)}
+            for q in range(faces[-1].dim + 1)]
 
 
 def test_boundary_interval_and_square():
@@ -231,10 +223,7 @@ def test_boundary_squares_to_zero():
 
 def test_boundary_rejects_complex_not_closed():
     edge, square = Face(0, (0,), 1), Face(0, (0, 0), 0b11)
-    lone_edge = CubicalComplex(0, {edge}, {edge})
-    no_bottom = CubicalComplex(0, set(closure({square}).faces()) - {Face(0, (0, 0), 0b01)},
-                               {square})
-    for U in (lone_edge, no_bottom):
+    for U in ({edge}, closure({square}) - {Face(0, (0, 0), 0b01)}):
         with pytest.raises(MalformedStream, match="facets"):
             betti(U)
 
@@ -246,14 +235,12 @@ def test_cubical_map_collapsing_edge_lands_on_active_vertex():
     frames = build_frames(1.0, 1, [(1,)])
     P = PointCloud([0.1, 0.9])
     V0 = active_vertices(frames[0], P)
-    U0 = closure(spanned_faces(frames[0], V0))
     edge = Face(0, (0,), 1)
-    assert U0.is_active(edge)
+    assert edge in spanned_faces(frames[0], V0)
     img = face_map_g(frames, 0, edge)
     assert img.dim == 0
     V1 = active_vertices(frames[1], P)
-    U1 = closure(spanned_faces(frames[1], V1))
-    assert img in U1 and U1.is_active(img)
+    assert img in spanned_faces(frames[1], V1)
 
 
 def _complexes_for(P, lam, signs):
@@ -261,7 +248,8 @@ def _complexes_for(P, lam, signs):
     out = []
     for fr in frames:
         V = active_vertices(fr, P)
-        out.append((V, closure(spanned_faces(fr, V))))
+        spanned = spanned_faces(fr, V)
+        out.append((V, spanned, closure(spanned)))
     return frames, out
 
 
@@ -274,7 +262,7 @@ def test_push_equals_relocate():
         signs = [tuple(rng.choice((-1, 1), d)) for _ in range(4)]
         frames, levels = _complexes_for(P, 0.7, signs)
         for s in range(4):
-            V, _ = levels[s]
+            V, _, _ = levels[s]
             assert {vertex_map_g(frames, s, v) for v in V} == levels[s + 1][0]
 
 
@@ -299,13 +287,13 @@ def test_active_faces_map_to_active_faces():
         signs = [tuple(rng.choice((-1, 1), d)) for _ in range(4)]
         frames, levels = _complexes_for(P, 0.9, signs)
         for s in range(4):
-            _, U = levels[s]
-            _, U_next = levels[s + 1]
-            for f in U.faces():
+            _, active, U = levels[s]
+            _, active_next, U_next = levels[s + 1]
+            for f in U:
                 img = face_map_g(frames, s, f)
                 assert img in U_next
-                if U.is_active(f):
-                    assert U_next.is_active(img)
+                if f in active:
+                    assert img in active_next
 
 
 def test_small_diameter_subsets_share_a_face():
@@ -326,8 +314,8 @@ def test_secondary_vertex_maps_into_next_complex():
     frames = build_frames(1.0, 2, [(1, 1)])
     P = PointCloud([[0.1, 0.1], [0.9, 0.9]])
     V0 = active_vertices(frames[0], P)
-    U0 = closure(spanned_faces(frames[0], V0))
+    spanned0 = spanned_faces(frames[0], V0)
     V1 = active_vertices(frames[1], P)
     U1 = closure(spanned_faces(frames[1], V1))
-    for f in U0.secondary_faces():
+    for f in closure(spanned0) - spanned0:
         assert face_map_g(frames, 0, f) in U1

@@ -376,7 +376,7 @@ def test_audit_totals_match_stream():
     assert sum(sc.n_contractions for sc in audit) == stream.counts()["C"]
     # its ids name the grid vertices of the definition's complex
     for sc, (_, U) in zip(audit, definition_complexes(P, stream), strict=True):
-        assert sc.id_of_face.keys() == set(U.faces_of_dim(0))
+        assert sc.id_of_face.keys() == {f for f in U if f.dim == 0}
 
 
 def test_towers_unchanged_with_bruteforce_spanned_faces(monkeypatch):
