@@ -20,12 +20,14 @@ CLOUDS = {
     "d2": (12, 12, 2),
     "d3": (13, 8, 3),
     "d4": (14, 10, 4),
+    "d5": (17, 10, 5),
     # set 0 of the perfbench compare workloads: default_rng(0).uniform(0, 10)
     "bench_n70": (0, 70, 2),
     "bench_n200": (0, 200, 2),
     # set 0 of the perfbench tower workloads
     "bench_n160": (0, 160, 2),
     "bench_d6": (0, 45, 6),
+    "d7": (18, 8, 7),
     "d8": (15, 8, 8),
     # shifted by -1e12: every anchor is negative and needs a wide field
     "d3_far": (16, 10, 3, -1e12),
@@ -81,6 +83,10 @@ RUNS = [
                                 "--mode", "simplicial"]),
     ("tower_m1024_cubical", ["tower", "{pair_d1}", "--lambda", LAM_M1024, "--mode", "cubical"]),
 ]
+# compare at d = 4-8, where the claimed L2 factor 2*d^(1/4) grows with d
+RUNS += [("compare_%s_k%d_%s" % (c, k, metric),
+          ["compare", "{%s}" % c, "--k", str(k), "--metric", metric, "--seed", "3"])
+         for c in ("d4", "d5", "bench_d6", "d7", "d8") for k in (0, 1) for metric in ("linf", "l2")]
 
 # output name -> (exit code, SHA-256 of the output file)
 GOLDEN = {
@@ -118,6 +124,26 @@ GOLDEN = {
     "tower_d3_far_k2": (0, "e6121a84cdaceb81a17eda5b203123ab8da0b262a529d6192dd95ddf237b56f1"),
     "tower_m1024_simplicial": (0, "4507213348f89c1d7b6eaa14b859856a9e50bcad31e1e7cb213744b2f309f2ae"),
     "tower_m1024_cubical": (0, "950c6c7afdd408e4598994744ac072993d221e1a9f9bf5f4935a8c207805271a"),
+    "compare_d4_k0_linf": (0, "6579a033640f6d700f5287e7f33a8a6bce8032c238671270ba101a7fd98e8c46"),
+    "compare_d4_k0_l2": (0, "bc7b057309afa224392ae318779817009314a1f07d37767e60864a1b707fb37e"),
+    "compare_d4_k1_linf": (0, "5ea2946ec214fac5ec49fa30a996749bfd32bfac88d1514a5c758502505b01c8"),
+    "compare_d4_k1_l2": (0, "dc2c6cd98177d3c5c4579223c146c9c46696acde2137ce99b6c0985a855ef4e1"),
+    "compare_d5_k0_linf": (0, "f2d15af0d1298b17da1a992cd2278c19cf9290bc87f5ec483ff84da01bbc80b1"),
+    "compare_d5_k0_l2": (0, "5e01d77367a837a6bddbc3bc48357d000837adf685e00c49c4503bc2b69eeb47"),
+    "compare_d5_k1_linf": (0, "459fa2353bcb59461993a8dc2e0ffa80e4d8d2a0ef165b137c7c10595ddff8ba"),
+    "compare_d5_k1_l2": (0, "eb0bdc4a931046d7626bc367e85d15b630afa6cc1c1d38fbaa86e881c9aaa0d8"),
+    "compare_bench_d6_k0_linf": (0, "22a59a44a8025f698571f6a453c1099f55d8bd621a11f6cde8fdfcfc5c1defd7"),
+    "compare_bench_d6_k0_l2": (0, "e2b56f2c3804fa7628eaf2c0a2487b10764f4a79a20142563ffdebd6653b0a6e"),
+    "compare_bench_d6_k1_linf": (0, "09442a22f2e4c1cf60a2ef955157e6272c1bbecc61db11f2ad8d5e8513d9cb78"),
+    "compare_bench_d6_k1_l2": (0, "ae7d8865ef2e111bed3b490e85653a760f863951b0321cca335f5c0086021ec9"),
+    "compare_d7_k0_linf": (0, "0640f6f6854d8af8fba0af0c53960d4f9c80ecffa3a4e203bb8c541ace9f4d9b"),
+    "compare_d7_k0_l2": (0, "e122e208f375ae8cad8cb4bc41f8241fc6d018c6aabf17b18272475eba12b210"),
+    "compare_d7_k1_linf": (0, "87a7a8b0f92095498e3446d3caa4280e745baf2141c98cde0df877e9b99f7813"),
+    "compare_d7_k1_l2": (0, "641990174c373b8b78f311d9ab450ba89320434f0031679e19cda1ef6c136f1a"),
+    "compare_d8_k0_linf": (0, "735b43f4fb9ec458d1fdcb4d14640e22968dd261ed5b5bfe2b8772ddb7e79626"),
+    "compare_d8_k0_l2": (0, "44a5a5e52db5d543ceebf6a93210347b0ff71b06973b1db790d3b14b6d1c45d9"),
+    "compare_d8_k1_linf": (0, "3d275d223ec5b6712ee23f929ecb50345c69ac68fd9a09d296f4cb9ecbb392d7"),
+    "compare_d8_k1_l2": (0, "367e733a72528bab68458595f9a98d2bc192b60020b5c90a84d9ba3fa2e1fcbd"),
 }
 
 
