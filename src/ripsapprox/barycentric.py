@@ -8,45 +8,14 @@ of its geometric realization looks like combinatorially.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
 from .lattice import Face, face_map_g, is_subface, subfaces
 
 __all__ = [
-    "FlagSimplex",
     "build_order_complex",
     "simplicial_image",
 ]
-
-
-@dataclass(frozen=True)
-class FlagSimplex:
-    """A strict chain of faces, ordered by dimension."""
-
-    faces: Tuple[Face, ...]
-
-    def __post_init__(self):
-        fs = self.faces
-        if not fs:
-            raise ValueError("empty flag")
-        for a, b in zip(fs, fs[1:]):
-            if a == b or not is_subface(a, b):
-                raise ValueError("not a strict chain: %r !< %r" % (a, b))
-
-    @property
-    def dim(self) -> int:
-        return len(self.faces) - 1
-
-    @property
-    def top(self) -> Face:
-        return self.faces[-1]
-
-    def __iter__(self):
-        return iter(self.faces)
-
-    def __len__(self):
-        return len(self.faces)
 
 
 def build_order_complex(U: Iterable[Face], k: int) -> List[Tuple[Face, ...]]:
@@ -56,6 +25,7 @@ def build_order_complex(U: Iterable[Face], k: int) -> List[Tuple[Face, ...]]:
     Each chain is a tuple of faces in canonical (dim, anchor, mask)
     order. Chains come shortest first, the 1-chains in canonical face
     order, and each longer chain after the ones that its prefix precedes.
+    Raises ValueError when a face of a face of U is missing from U.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -64,6 +34,8 @@ def build_order_complex(U: Iterable[Face], k: int) -> List[Tuple[Face, ...]]:
     supers: Dict[Face, List[Face]] = {f: [] for f in faces}
     for g in faces:
         for f in subfaces(g, proper=True):
+            if f not in supers:
+                raise ValueError("face %r of %r missing from the complex" % (f, g))
             supers[f].append(g)
 
     chains = [(f,) for f in faces]
@@ -75,16 +47,25 @@ def build_order_complex(U: Iterable[Face], k: int) -> List[Tuple[Face, ...]]:
     return out
 
 
-def simplicial_image(frames, s: int, sigma) -> FlagSimplex:
-    """Elementwise face image with consecutive duplicates collapsed.
+def simplicial_image(frames, s: int, chain: Tuple[Face, ...]) -> Tuple[Face, ...]:
+    """The image at scale s+1 of a flag, a strict chain of scale-s faces
+    given as a tuple: each face's image, consecutive duplicates collapsed.
 
     The image of a strict chain is again a chain at the next scale; when
-    a containment degenerates the duplicate is dropped, so the dimension
-    can only shrink.
+    a containment degenerates the duplicate is dropped, so the length
+    can only shrink. Raises ValueError when the chain or its image is
+    not a strict chain: empty, a face repeated, or faces not nested in
+    ascending order.
     """
-    out: List[Face] = []
-    for f in sigma:
+    img: Tuple[Face, ...] = ()
+    for f in chain:
         g = face_map_g(frames, s, f)
-        if not out or out[-1] != g:
-            out.append(g)
-    return FlagSimplex(tuple(out))
+        if not img or img[-1] != g:
+            img += (g,)
+    for c in (chain, img):
+        if not c:
+            raise ValueError("empty flag")
+        for a, b in zip(c, c[1:]):
+            if a == b or not is_subface(a, b):
+                raise ValueError("not a strict chain: %r !< %r" % (a, b))
+    return img

@@ -114,11 +114,10 @@ def cmd_tower(args) -> int:
         raise ValueError("k must be >= 0")
     if args.mode == "cubical":
         stream = build_cubical_tower(P, seed, metric=args.metric, lam=args.lam,
-                                     max_scales=args.max_scales, guard_cells=args.guard_cells)
+                                     guard_cells=args.guard_cells)
     else:
         stream = build_simplicial_tower(P, min(args.k, P.d), seed, metric=args.metric,
-                                        lam=args.lam, max_scales=args.max_scales,
-                                        guard_cells=args.guard_cells)
+                                        lam=args.lam, guard_cells=args.guard_cells)
     info = _emit(stream.to_text(), args.out)
     c = stream.counts()
     info.write("tower: n=%d d=%d k=%d metric=%s seed=%d mode=%s\n"
@@ -221,7 +220,7 @@ def cmd_stats(args) -> int:
         P = PointCloud.from_file(args.points)
         audit = []
         rebuilt = _build_tower(P, k, stream.seed, stream.metric, stream.mode, stream.lam,
-                               stream.m, audit=audit)
+                               audit=audit)
         same = rebuilt.to_text().encode() == raw
         checks.append(("rebuild reproduces stream", int(same), 1, same))
         add("active-face inclusions <= n*3^d", sum(sc.new_active for sc in audit),
@@ -281,18 +280,12 @@ def cmd_survival(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _add_common(sp, seeded=True, modal=False, ladder=False):
+def _add_common(sp, seeded=True):
     sp.add_argument("--metric", choices=METRICS, default="linf")
     sp.add_argument("--k", type=int, default=1)
     if seeded:
         sp.add_argument("--seed", type=int, default=None,
                         help="default: RIPSAPPROX_SEED or 0")
-    if modal:
-        sp.add_argument("--mode", choices=("simplicial", "cubical"), default="simplicial")
-    if ladder:
-        sp.add_argument("--lambda", dest="lam", type=float, default=None,
-                        help="override the base scale")
-        sp.add_argument("--max-scales", type=int, default=None)
     sp.add_argument("--guard-cells", type=int, default=DEFAULT_GUARD_CELLS)
     sp.add_argument("--out", default=None)
 
@@ -304,7 +297,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("tower", help="build a tower event stream from points")
     sp.add_argument("points")
-    _add_common(sp, modal=True, ladder=True)
+    _add_common(sp)
+    sp.add_argument("--mode", choices=("simplicial", "cubical"), default="simplicial")
+    sp.add_argument("--lambda", dest="lam", type=float, default=None,
+                    help="override the base scale")
     sp.set_defaults(func=cmd_tower)
 
     sp = sub.add_parser("rips-barcode", help="exact Rips barcode of points")

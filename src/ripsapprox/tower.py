@@ -198,10 +198,10 @@ class EventStream:
         return cls(n, d, k, metric, seed, lam, m, mode, events)
 
 
-def _ladder_for(P: PointCloud, lam, max_scales) -> Tuple[float, int]:
+def _ladder_for(P: PointCloud, lam) -> Tuple[float, int]:
     """The ladder alpha_s = lam*2^s, s = 0..m, as the pair (lam, m): lam
     defaults to closest-pair(Linf)/(3d), 1.0 for one point, and m is the
-    least m >= 0 with lam*2^m >= diam, then capped at max_scales.
+    least m >= 0 with lam*2^m >= diam, where the complex is contractible.
 
     lam is doubled in floating point, which is exact, so a stored lam
     re-derives the same m. Raises ValueError when lam is not finite and
@@ -225,10 +225,6 @@ def _ladder_for(P: PointCloud, lam, max_scales) -> Tuple[float, int]:
     if u == 0.0 or not math.isfinite(float(abs(P.points).max()) / u):
         raise ValueError("coordinates overflow float64 in grid units of lambda/2 (lambda=%r)"
                          % (lam,))
-    if max_scales is not None:
-        if max_scales < 0:
-            raise ValueError("max_scales must be >= 0")
-        m = min(m, max_scales)
     return lam, m
 
 
@@ -272,8 +268,7 @@ def _chains_ending(top: int, cap: int, codec: _FaceCodec):
 
 
 def _build_tower(P: PointCloud, k: int, seed: int, metric: str, mode: str, lam=None,
-                 max_scales=None, guard_cells=None,
-                 audit: Optional[List[ScaleAudit]] = None) -> EventStream:
+                 guard_cells=None, audit: Optional[List[ScaleAudit]] = None) -> EventStream:
     """The tower's event stream; with `audit`, one ScaleAudit per scale is
     appended to it. A cubical tower has no skeleton cap: its header k is
     0 whatever k is given."""
@@ -285,7 +280,7 @@ def _build_tower(P: PointCloud, k: int, seed: int, metric: str, mode: str, lam=N
     elif not (0 <= k <= P.d):
         raise ValueError("k must be in 0..d")
 
-    lam, m = _ladder_for(P, lam, max_scales)
+    lam, m = _ladder_for(P, lam)
     d = P.d
     # flags are strict subface chains of at most flag_len faces; a
     # cubical tower (k = 0) emits the faces alone
@@ -395,15 +390,15 @@ def _build_tower(P: PointCloud, k: int, seed: int, metric: str, mode: str, lam=N
 
 
 def build_simplicial_tower(P: PointCloud, k: int, seed: int, *, metric="linf", lam=None,
-                           max_scales=None, guard_cells=None, audit=None) -> EventStream:
+                           guard_cells=None, audit=None) -> EventStream:
     """Event stream of the flag tower over the face poset, k-skeleton capped."""
-    return _build_tower(P, k, seed, metric, "simplicial", lam, max_scales, guard_cells, audit)
+    return _build_tower(P, k, seed, metric, "simplicial", lam, guard_cells, audit)
 
 
 def build_cubical_tower(P: PointCloud, seed: int, *, metric="linf", lam=None,
-                        max_scales=None, guard_cells=None, audit=None) -> EventStream:
+                        guard_cells=None, audit=None) -> EventStream:
     """Event stream of the cubical tower (cells, not flags)."""
-    return _build_tower(P, 0, seed, metric, "cubical", lam, max_scales, guard_cells, audit)
+    return _build_tower(P, 0, seed, metric, "cubical", lam, guard_cells, audit)
 
 
 @dataclass(repr=False, eq=False)

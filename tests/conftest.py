@@ -1,4 +1,7 @@
+import math
 import os
+from dataclasses import replace
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +10,7 @@ from hypothesis import strategies as st
 from ripsapprox.cubical import active_vertices, closure, spanned_faces
 from ripsapprox.geometry import PointCloud
 from ripsapprox.lattice import build_frames, face_map_g, shift_signs
-from ripsapprox.tower import build_cubical_tower, build_simplicial_tower
+from ripsapprox.tower import Scale, build_cubical_tower, build_simplicial_tower
 
 
 def cli_env():
@@ -27,6 +30,16 @@ def random_cloud(seed, n, d, box=10.0):
         pts = rng.uniform(0.0, box, size=(n, d))
         if len({tuple(row) for row in pts}) == n:
             return PointCloud(pts)
+
+
+def ladder_prefix(stream, m):
+    """The tower `stream` cut after scale lambda*2^m: its events up to
+    that scale, under a header with that m. A tower is built scale by
+    scale, so this is the stream of the same build over the shorter
+    ladder."""
+    top = math.ldexp(stream.lam, m)
+    return replace(stream, m=m, events=list(takewhile(
+        lambda e: not (isinstance(e, Scale) and e.alpha > top), stream.events)))
 
 
 def definition_complexes(P, stream):

@@ -1,11 +1,12 @@
 import itertools
 import random
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from ripsapprox.barycentric import FlagSimplex, build_order_complex, simplicial_image
+from ripsapprox.barycentric import build_order_complex, simplicial_image
 from ripsapprox.cubical import active_vertices, closure, spanned_faces
 from ripsapprox.lattice import Face, build_frames, subfaces
 from ripsapprox.persistence import betti
@@ -27,20 +28,21 @@ def canonical(U):
 
 
 def test_flag_simplex_validation():
+    # a flag is a tuple of faces; simplicial_image takes only strict chains
+    frames = build_frames(1.0, 2, [(-1, -1)])  # g keeps the cells at the origin
     v = Face(0, (0, 0), 0)
     e = Face(0, (0, 0), 0b01)
     sq = Face(0, (0, 0), 0b11)
-    chain = FlagSimplex((v, e, sq))
-    assert chain.dim == 2 and chain.top == sq and len(chain) == 3
-    assert list(chain) == [v, e, sq]
+    assert simplicial_image(frames, 0, (v, e, sq)) == tuple(Face(1, f.anchor, f.mask)
+                                                           for f in (v, e, sq))
     with pytest.raises(ValueError):
-        FlagSimplex(())
+        simplicial_image(frames, 0, ())
     with pytest.raises(ValueError):
-        FlagSimplex((v, v))
+        simplicial_image(frames, 0, (v, v))
     with pytest.raises(ValueError):
-        FlagSimplex((e, Face(0, (3, 3), 0)))  # not nested
+        simplicial_image(frames, 0, (e, Face(0, (3, 3), 0)))  # not nested
     with pytest.raises(ValueError):
-        FlagSimplex((e, v))  # wrong direction
+        simplicial_image(frames, 0, (e, v))  # wrong direction
 
 
 # --- order complexes ---
@@ -66,6 +68,14 @@ def test_order_complex_edge_with_endpoints():
     U = closure({Face(0, (0,), 1), Face(0, (0,), 0), Face(0, (1,), 0)})
     # endpoint-in-edge chains; endpoints incomparable
     assert lengths(build_order_complex(U, 2)) == {1: 3, 2: 2}
+
+
+def test_order_complex_needs_every_subface():
+    # an edge without its end vertices is not closed under faces
+    edge, end = Face(0, (0,), 1), Face(0, (0,), 0)
+    with pytest.raises(ValueError, match="face %s of %s missing"
+                       % (re.escape(repr(end)), re.escape(repr(edge)))):
+        build_order_complex({edge}, 1)
 
 
 def test_order_complex_single_vertex():
@@ -135,20 +145,20 @@ def test_image_collapse_dedupes():
     frames = build_frames(1.0, 1, [(1,)])
     v = Face(0, (0,), 0)
     e = Face(0, (0,), 1)
-    img = simplicial_image(frames, 0, FlagSimplex((v, e)))
-    assert img.dim == 0  # edge direction collapses onto g(v)
+    img = simplicial_image(frames, 0, (v, e))
+    assert len(img) == 1  # edge direction collapses onto g(v)
 
     minus = build_frames(1.0, 1, [(-1,)])
-    img = simplicial_image(minus, 0, FlagSimplex((v, e)))
-    assert img.dim == 1
-    assert img.faces[0].mask == 0 and img.faces[1].mask == 1
+    img = simplicial_image(minus, 0, (v, e))
+    assert len(img) == 2
+    assert img[0].mask == 0 and img[1].mask == 1
 
 
 def test_image_of_vertex_simplex():
     frames = build_frames(1.0, 2, [(1, -1)])
     v = Face(0, (2, 3), 0)
-    img = simplicial_image(frames, 0, FlagSimplex((v,)))
-    assert img.dim == 0
+    img = simplicial_image(frames, 0, (v,))
+    assert len(img) == 1
 
 
 def _towers(seed, n, d, m):
@@ -169,8 +179,7 @@ def test_images_are_simplices_of_next_complex():
         for s in range(3):
             next_chains = set(build_order_complex(levels[s + 1], 2))
             for chain in build_order_complex(levels[s], 2):
-                img = simplicial_image(frames, s, FlagSimplex(chain))
-                assert img.faces in next_chains
+                assert simplicial_image(frames, s, chain) in next_chains
 
 
 def test_image_functorial_across_scales():
@@ -182,10 +191,10 @@ def test_image_functorial_across_scales():
         for chain in build_order_complex(levels[0], 2):
             if len(chain) == 1:
                 continue
-            chained = simplicial_image(frames, 1, simplicial_image(frames, 0, FlagSimplex(chain)))
+            chained = simplicial_image(frames, 1, simplicial_image(frames, 0, chain))
             twice = []
             for f in chain:
                 g = face_map_g(frames, 1, face_map_g(frames, 0, f))
                 if not twice or twice[-1] != g:
                     twice.append(g)
-            assert chained.faces == tuple(twice)
+            assert chained == tuple(twice)

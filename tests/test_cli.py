@@ -23,7 +23,7 @@ from ripsapprox.persistence import Barcode
 from ripsapprox.tower import EventStream
 
 from conftest import (CUBICAL_DIAGONAL_CONTRACTION, CUBICAL_LONE_SQUARE, cli_env,
-                      mutated_stream, random_cloud)
+                      ladder_prefix, mutated_stream, random_cloud)
 
 
 def write_points(tmp_path, rows, name="pts.txt"):
@@ -95,10 +95,12 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["tower"])  # missing positional
     assert exc.value.code == 2
-    # compare always builds the ladder it derives
-    for extra in (["--lambda", "0.5"], ["--max-scales", "3"]):
+    # compare always builds the ladder it derives, and tower the whole of it
+    for argv in (["compare", "points.txt", "--lambda", "0.5"],
+                 ["compare", "points.txt", "--max-scales", "3"],
+                 ["tower", "points.txt", "--max-scales", "3"]):
         with pytest.raises(SystemExit) as exc:
-            main(["compare", "points.txt", *extra])
+            main(argv)
         assert exc.value.code == 2
 
 
@@ -449,10 +451,10 @@ def test_stats_pins_complexes_that_do_not_collapse(tmp_path, capsys, rows, tower
                                                    digest):
     # a stream cut at scale 0 keeps its final complex uncollapsed
     pts = write_points(tmp_path, rows)
-    stream, report = str(tmp_path / "stream.txt"), tmp_path / "report.txt"
-    assert main(["tower", pts, "--seed", "3", "--max-scales", "0", *tower_args,
-                 "--out", stream]) == EXIT_OK
-    assert main(["stats", stream, "--out", str(report)]) == EXIT_CHECK_FAILED
+    stream, report = tmp_path / "stream.txt", tmp_path / "report.txt"
+    assert main(["tower", pts, "--seed", "3", *tower_args, "--out", str(stream)]) == EXIT_OK
+    stream.write_text(ladder_prefix(EventStream.parse(stream.read_text()), 0).to_text())
+    assert main(["stats", str(stream), "--out", str(report)]) == EXIT_CHECK_FAILED
     assert "check final scale %s FAIL" % check in report.read_text()
     assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
 

@@ -15,7 +15,7 @@ from ripsapprox.geometry import PointCloud
 from ripsapprox.persistence import Barcode, reduce, rips_barcode, rips_filtration, tower_barcode
 from ripsapprox.tower import build_simplicial_tower
 
-from conftest import random_cloud
+from conftest import ladder_prefix, random_cloud
 
 INF = math.inf
 
@@ -281,8 +281,9 @@ def _truncated_tower_pairs():
     truncated ladders, where dim 0 is inf apart."""
     P = PointCloud(np.random.default_rng(3).uniform(0, 10, (12, 2)))
     rbc = rips_barcode(P, "linf", 1)
-    for ladder in ({"max_scales": 1}, {"lam": 100.0}):
-        tbc = tower_barcode(build_simplicial_tower(P, 2, 0, **ladder), 1).scaled(0.5)
+    for stream in (ladder_prefix(build_simplicial_tower(P, 2, 0), 1),
+                   build_simplicial_tower(P, 2, 0, lam=100.0)):
+        tbc = tower_barcode(stream, 1).scaled(0.5)
         assert multiplicative_bottleneck(tbc, rbc, 0) == INF
         yield from ((tbc.intervals(p), rbc.intervals(p)) for p in (0, 1))
 

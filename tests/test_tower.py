@@ -39,14 +39,14 @@ from conftest import MUTATIONS, definition_complexes, random_cloud
 
 
 def test_ladder_two_points_unit_interval():
-    lam, m = _ladder_for(PointCloud([0.0, 1.0]), None, None)
+    lam, m = _ladder_for(PointCloud([0.0, 1.0]), None)
     assert lam == pytest.approx(1.0 / 3.0)
     assert m == 2
     assert [math.ldexp(lam, s) for s in range(m + 1)] == pytest.approx([1 / 3, 2 / 3, 4 / 3])
 
 
 def test_ladder_spread_eight():
-    lam, m = _ladder_for(PointCloud([[0, 0], [1, 0], [8, 0]]), None, None)
+    lam, m = _ladder_for(PointCloud([[0, 0], [1, 0], [8, 0]]), None)
     assert lam == pytest.approx(1.0 / 6.0)
     assert m == 6  # 2^m >= 3*2*8
 
@@ -55,7 +55,7 @@ def test_ladder_two_points_general_d():
     for d, want in ((1, 2), (2, 3), (3, 4)):
         pts = np.zeros((2, d))
         pts[1, 0] = 1.0
-        _, m = _ladder_for(PointCloud(pts), None, None)
+        _, m = _ladder_for(PointCloud(pts), None)
         assert m == want  # minimal with 2^m >= 3d
 
 
@@ -64,7 +64,7 @@ def test_ladder_covers_diameter():
     for seed in range(10):
         P = random_cloud(seed, 7, 2)
         stream = build_simplicial_tower(P, 0, seed, lam=float(rng.uniform(1e-3, 20.0)))
-        for lam, m in (_ladder_for(P, None, None), (stream.lam, stream.m)):
+        for lam, m in (_ladder_for(P, None), (stream.lam, stream.m)):
             assert math.ldexp(lam, m) >= diameter(P, "linf")
             if m > 0:
                 assert math.ldexp(lam, m - 1) < diameter(P, "linf")
@@ -83,8 +83,7 @@ def test_ladder_boundary_rebuild():
                 pts = np.zeros((3, d))
                 pts[1, 0], pts[2, 0] = a, diam
                 s = build_simplicial_tower(PointCloud(pts), 1, seed=j)
-                again = build_simplicial_tower(PointCloud(pts), 1, seed=j, lam=s.lam,
-                                               max_scales=s.m)
+                again = build_simplicial_tower(PointCloud(pts), 1, seed=j, lam=s.lam)
                 assert again == s, (d, a, diam)
 
 
@@ -95,8 +94,8 @@ def test_single_point_stream():
     P = PointCloud([[0.7]])
     for stream in (build_simplicial_tower(P, 1, seed=5),
                    build_cubical_tower(P, seed=5),
-                   build_simplicial_tower(P, 1, seed=5, lam=0.25, max_scales=3),
-                   build_cubical_tower(P, seed=5, lam=0.25, max_scales=3)):
+                   build_simplicial_tower(P, 1, seed=5, lam=0.25),
+                   build_cubical_tower(P, seed=5, lam=0.25)):
         assert stream.m == 0 and stream.lam == 1.0
         assert stream.events == [Scale(1.0), Include(0, 0, ())]
         snap = replay(stream)
@@ -320,16 +319,12 @@ def test_cell_guardrail_trips():
         build_simplicial_tower(P, 2, seed=0, guard_cells=20)
 
 
-def test_lambda_override_and_max_scales():
+def test_lambda_override():
     P = PointCloud([0.0, 1.0])
     stream = build_simplicial_tower(P, 1, seed=0, lam=0.5)
     assert stream.lam == 0.5 and stream.m == 1  # 0.5 * 2 >= diam 1
-    capped = build_simplicial_tower(P, 1, seed=0, max_scales=0)
-    assert capped.m == 0
     with pytest.raises(ValueError):
         build_simplicial_tower(P, 1, seed=0, lam=-1.0)
-    with pytest.raises(ValueError):
-        build_simplicial_tower(P, 1, seed=0, max_scales=-1)
 
 
 def test_cubical_cells_reference_corner_ids():
@@ -419,7 +414,7 @@ def test_definition_and_build_share_no_code(monkeypatch):
 def test_build_packs_only_the_scale_0_vertices(monkeypatch):
     # faces stay packed keys from scale 0's active vertices to the stream
     P = random_cloud(73, 12, 3)
-    lam, m = _ladder_for(P, None, None)
+    lam, m = _ladder_for(P, None)
     V0 = active_vertices(GridFrame(0, lam, (0,) * 3), P)
     calls = Counter()
 
